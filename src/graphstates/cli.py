@@ -103,7 +103,7 @@ def _cmd_xchains(args) -> int:
         )
     lines.append("free vertices K: " + (",".join(map(str, xd.kappa)) or "(none)"))
     lines.append(f"fundamental string x_Gamma = {report['x_gamma']}")
-    lines.append(f"global sign alpha = {xd.alpha:+d}" if xd.alpha else "global sign alpha deferred")
+    lines.append(f"global sign alpha = {xd.alpha:+d}")
     _emit(report, args.format, "\n".join(lines))
     return 0
 
@@ -420,7 +420,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -155,6 +155,29 @@ def brute_xchains(g: Graph) -> set[int]:
     return {mask for mask in range(1 << g.n) if correlation_index(g, mask) == 0}
 
 
+def parity_sum_sign(g: Graph, rows: list[int]) -> int:
+    """Sign (-1, 0 or +1) of the sum of stabilizer parities over span(rows).
+
+    The reference for the global sign: walks all 2^len(rows) members in
+    Gray order, updating the parity with the cut-parity product rule
+    instead of recounting edges.
+    """
+    if g.n > 20:
+        raise ValueError("reference sign sum is capped at n <= 20")
+    row_parity = [stabilizer_parity(g, r) for r in rows]
+    row_corr = [correlation_index(g, r) for r in rows]
+    cur = 0
+    parity = 1
+    total = 1
+    for t in range(1, 1 << len(rows)):
+        i = (t & -t).bit_length() - 1
+        flip = gf2.dot(cur, row_corr[i])
+        parity *= row_parity[i] * (-1 if flip else 1)
+        cur ^= rows[i]
+        total += parity
+    return (total > 0) - (total < 0)
+
+
 def x_distribution(g: Graph) -> dict[int, Fraction]:
     """Exact Born distribution of full X-measurements, nonzero outcomes only."""
     sx = dense_to_x(dense_state_z(g))

@@ -16,7 +16,6 @@ from .gf2 import Basis
 from .graphs import Bipartition, Graph
 from .stab import correlation_index, stabilizer_parity
 from .xchains import (
-    ALPHA_SUM_LIMIT,
     XBasisExpansion,
     XChainData,
     correlation_state,
@@ -142,7 +141,7 @@ class SchmidtDecomposition:
     part: Bipartition
     coeff: DyadicReal
     terms: tuple[SchmidtTerm, ...]
-    alpha: int | None
+    alpha: int
 
     @property
     def rank(self) -> int:
@@ -156,11 +155,8 @@ def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
     for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
         sign, vec_a, vec_b = schmidt_vectors(g, pg, xi)
         terms.append(SchmidtTerm(xi, sign, vec_a, vec_b))
-    alpha = None
-    if len(pg.xdata.kappa) <= ALPHA_SUM_LIMIT:
-        alpha = global_sign(g, pg.xdata)
     return SchmidtDecomposition(
-        part, DyadicReal(1, pg.k_harpoon.dim), tuple(terms), alpha
+        part, DyadicReal(1, pg.k_harpoon.dim), tuple(terms), global_sign(g, pg.xdata)
     )
 
 

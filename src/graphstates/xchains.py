@@ -17,7 +17,7 @@ from .gf2 import Basis
 from .graphs import Graph
 from .stab import correlation_index, stabilizer_parity
 
-ALPHA_SUM_LIMIT = 20  # largest dim K for which the 2^|K| sign sum is computed
+EXPANSION_LIMIT = 20  # largest dim K for which the 2^|K| expansion terms are built
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class XChainData:
     x_gamma    -- fundamental X-basis string: pivots of the negative-parity
                   generators
     alpha      -- global sign, the sign of the sum of parities over the
-                  span of kappa singletons; None when that sum is deferred
+                  span of kappa singletons; None when factorized without it
     """
 
     gamma: Basis
@@ -103,43 +103,39 @@ def factorize(g: Graph, with_alpha: bool = True) -> XChainData:
         if stabilizer_parity(g, row) == -1:
             x_gamma |= 1 << p
     xd = XChainData(gamma, exclusive, kappa, x_gamma, None)
-    if with_alpha and len(kappa) <= ALPHA_SUM_LIMIT:
+    if with_alpha:
         xd = XChainData(gamma, exclusive, kappa, x_gamma, global_sign(g, xd))
     return xd
 
 
 def global_sign(g: Graph, xd: XChainData) -> int:
-    """Sign of the sum of parities over the span of the free singletons."""
-    if len(xd.kappa) > ALPHA_SUM_LIMIT:
-        raise ValueError(
-            f"global sign needs a 2^{len(xd.kappa)} parity sum; "
-            f"capped at 2^{ALPHA_SUM_LIMIT}"
-        )
-    return _parity_sum_sign(g, [1 << (v - 1) for v in xd.kappa])
+    """Sign of the sum of parities over the span of the free singletons.
 
-
-def _parity_sum_sign(g: Graph, rows: list[int]) -> int:
-    """Sign of the sum of stabilizer parities over the span of rows.
-
-    Walks the span in Gray order, updating the parity with the cut-parity
-    product rule instead of recounting edges.
+    The sum is the exponential sum of q(x) = e(G[x]) mod 2, whose polar
+    form x.Ay is nonsingular on the free singletons, so it equals
+    (-1)^Arf(q) * 2^(|K|/2).  Symplectic Gram-Schmidt splits the span into
+    hyperbolic pairs (e, f) with e.Af = 1, and Arf(q) is the sum of
+    q(e)q(f) over the pairs.  Each working vector carries its set z, its
+    correlation index Az and q(z), so q(z + u) = q(z) + q(u) + z.Au needs
+    no edge recount; a singleton has q = 0.
     """
-    row_parity = [stabilizer_parity(g, r) for r in rows]
-    row_corr = [correlation_index(g, r) for r in rows]
-    cur = 0
-    parity = 1
-    total = 1
-    for t in range(1, 1 << len(rows)):
-        i = (t & -t).bit_length() - 1
-        flip = gf2.dot(cur, row_corr[i])
-        parity *= row_parity[i] * (-1 if flip else 1)
-        cur ^= rows[i]
-        total += parity
-    if total > 0:
-        return 1
-    if total < 0:
-        return -1
-    raise ArithmeticError("parity sum vanished; global sign undetermined")
+    work = [(1 << (v - 1), g.adj[v - 1], 0) for v in xd.kappa]
+    arf = 0
+    while work:
+        e, ce, qe = work.pop()
+        i = next((i for i, (_, cf, _) in enumerate(work) if gf2.dot(e, cf)), None)
+        if i is None:
+            raise AssertionError("cut-parity form is singular on the free singletons")
+        f, cf, qf = work.pop(i)
+        arf ^= qe & qf
+        for j, (u, cu, qu) in enumerate(work):
+            # u + (u.Af) e + (u.Ae) f is orthogonal to both e and f
+            if gf2.dot(u, cf):
+                u, cu, qu = u ^ e, cu ^ ce, qu ^ qe ^ gf2.dot(u, ce)
+            if gf2.dot(u, ce):
+                u, cu, qu = u ^ f, cu ^ cf, qu ^ qf ^ gf2.dot(u, cf)
+            work[j] = (u, cu, qu)
+    return -1 if arf else 1
 
 
 def xchain_state(g: Graph, xd: XChainData, xi: int) -> tuple[int, int]:
@@ -177,20 +173,17 @@ def x_representation(g: Graph) -> XBasisExpansion:
     """Exact X-basis expansion of the graph state, global sign included.
 
     Builds the superposition over the span of the free-vertex singletons
-    and normalizes by the sign of the term-sign sum, so the result equals
-    the dense reference state bit for bit.
+    and multiplies it by the global sign, so the result equals the dense
+    reference state bit for bit.
     """
     xd = factorize(g, with_alpha=False)
-    if len(xd.kappa) > ALPHA_SUM_LIMIT:
+    if len(xd.kappa) > EXPANSION_LIMIT:
         raise ValueError(
-            f"expansion has 2^{len(xd.kappa)} terms; capped at 2^{ALPHA_SUM_LIMIT}"
+            f"expansion has 2^{len(xd.kappa)} terms; capped at 2^{EXPANSION_LIMIT}"
         )
     rows = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
     e = correlation_state(g, xd, rows, 0)
-    total = sum(e.terms.values())
-    if total == 0:
-        raise ArithmeticError("term-sign sum vanished; global sign undetermined")
-    if total < 0:
+    if global_sign(g, xd) < 0:
         e.terms = {mask: -s for mask, s in e.terms.items()}
     return e
 

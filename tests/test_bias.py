@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,7 +16,12 @@ from graphstates.bias import (
     orthogonal_partner,
     overlap,
 )
-from graphstates.graphs import canonical_form, graph_symmetric_difference, named
+from graphstates.graphs import (
+    canonical_form,
+    from_edges,
+    graph_symmetric_difference,
+    named,
+)
 from graphstates.oracle import dense_overlap, dense_state_z
 from graphstates.stab import stabilizer_parity
 from graphstates.xchains import is_xchain
@@ -76,6 +82,36 @@ def test_bias_equals_normalized_parity_sum():
             else:
                 assert beta.half_log % 2 == 0
                 assert total == beta.sign * (1 << (n - beta.half_log // 2))
+
+
+def dyadic_of_parity_sum(total: int, n: int) -> DyadicReal:
+    """total * 2^-n as a DyadicReal; total is 0 or a signed power of two."""
+    if total == 0:
+        return DyadicReal.zero()
+    mag = abs(total)
+    assert mag & (mag - 1) == 0
+    return DyadicReal(1 if total > 0 else -1, 2 * (n - mag.bit_length() + 1))
+
+
+def test_bias_complete_graph_closed_form():
+    # a k-subset of K_n induces C(k,2) edges
+    for n in range(1, 33):
+        total = sum(comb(n, k) * (-1) ** (k * (k - 1) // 2) for k in range(n + 1))
+        assert bias_degree(named(f"complete:{n}")) == dyadic_of_parity_sum(total, n)
+
+
+def test_bias_complete_bipartite_closed_form():
+    # an (i, j)-subset of K_{a,b} induces i*j edges
+    for n in range(1, 33):
+        for a in range(n + 1):
+            b = n - a
+            g = from_edges(n, [(u, v) for u in range(1, a + 1) for v in range(a + 1, n + 1)])
+            total = sum(
+                comb(a, i) * comb(b, j) * (-1) ** (i * j)
+                for i in range(a + 1)
+                for j in range(b + 1)
+            )
+            assert bias_degree(g) == dyadic_of_parity_sum(total, n)
 
 
 def test_is_balanced_examples():

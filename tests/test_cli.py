@@ -69,6 +69,16 @@ def test_overlap_command(capsys):
     assert report["overlap"]["value"] == "0"
 
 
+def test_global_sign_with_24_free_vertices(capsys):
+    assert run(["bias", "--graph", "complete:24"]) == 0
+    assert "+2^-24/2" in capsys.readouterr().out
+    assert run(["overlap", "--graph", "complete:24", "--graph2", "empty:24"]) == 0
+    assert "+2^-24/2" in capsys.readouterr().out
+    code, report = run_json(capsys, ["xchains", "--graph", "complete:24"])
+    assert code == 0
+    assert report["alpha"] == 1
+
+
 def test_balanced_command(capsys):
     code, report = run_json(capsys, ["balanced", "--max-n", "3"])
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_graphs, random_graph
+from helpers import all_graphs, gnp_graph, random_graph
 from graphstates import gf2
 from graphstates.gf2 import iter_span, mask_of, rref, string_to_mask
 from graphstates.graphs import from_edges, named
@@ -15,6 +15,7 @@ from graphstates.oracle import (
     dense_from_expansion,
     dense_state_z,
     dense_to_x,
+    parity_sum_sign,
     x_distribution,
 )
 from graphstates.stab import induced_stabilizer, stabilizer_parity
@@ -23,6 +24,7 @@ from graphstates.xchains import (
     correlation_state,
     distinguishing_outcomes,
     factorize,
+    global_sign,
     is_xchain,
     measurement_support,
     x_representation,
@@ -224,6 +226,42 @@ def test_parity_homomorphism_on_xchain_span():
                 assert stabilizer_parity(g, g1 ^ g2) == stabilizer_parity(
                     g, g1
                 ) * stabilizer_parity(g, g2)
+
+
+def test_global_sign_matches_reference_sum():
+    def check(g):
+        xd = factorize(g)
+        assert xd.alpha == parity_sum_sign(g, [1 << (v - 1) for v in xd.kappa])
+
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            check(g)
+    rng = random.Random(46)
+    for n in range(7, 19):
+        for p in (0.1, 0.25, 0.5, 0.75):
+            check(gnp_graph(rng, n, p))
+
+
+def test_free_block_of_adjacency_is_nonsingular():
+    # global_sign rests on this: A[K,K] has full GF(2) rank, so the
+    # cut-parity form is symplectic on the free singletons and |K| is even
+    rng = random.Random(47)
+    for n in range(1, 33):
+        for p in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
+            for _ in range(3):
+                g = gnp_graph(rng, n, p)
+                free = [v - 1 for v in factorize(g, with_alpha=False).kappa]
+                block = [gf2.restrict(g.adj[v], free) for v in free]
+                assert gf2.rank(block, len(free)) == len(free)
+                assert len(free) % 2 == 0
+
+
+def test_global_sign_rejects_a_singular_form():
+    # a free set that is not one is a broken invariant, not bad input
+    g = named("empty:2")
+    xd = XChainData(xchain_group(g), (), (1, 2), 0, None)
+    with pytest.raises(AssertionError):
+        global_sign(g, xd)
 
 
 def test_x_representation_matches_oracle():
