@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_form, graph_symmetric_difference
+from .graphs import Graph, all_graphs, canonical_form, graph_symmetric_difference
 from .stab import induced_edge_count, stabilizer_parity
 from .xchains import factorize, global_sign
 
@@ -49,7 +49,7 @@ def bias_degree(g: Graph) -> DyadicReal:
     magnitude is 2^(-(n - dim Gamma)/2) and the sign is the global sign
     of the X-basis expansion.
     """
-    xd = factorize(g, with_alpha=False)
+    xd = factorize(g)
     if xd.x_gamma:
         return DyadicReal.zero()
     return DyadicReal(global_sign(g, xd), g.n - xd.gamma.dim)
@@ -69,7 +69,7 @@ def is_balanced(g: Graph) -> bool:
     since parity is multiplicative on the X-chain group, checking the
     canonical generators suffices.
     """
-    return factorize(g, with_alpha=False).x_gamma != 0
+    return factorize(g).x_gamma != 0
 
 
 def negative_weight(g: Graph) -> int:
@@ -103,24 +103,15 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
     """
     if n > 5:
         raise ValueError("balanced catalog enumeration is capped at n <= 5")
-    slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     seen = {}
-    for mask in range(1 << len(slots)):
-        adj = [0] * n
-        m = mask
-        for (u, v) in slots:
-            if m & 1:
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
-            m >>= 1
-        g = Graph(n, tuple(adj))
+    for g in all_graphs(n):
         if not is_balanced(g):
             continue
         canon, _ = canonical_form(g)
         if canon.adj in seen:
             continue
         witness = next(
-            row for row in factorize(canon, with_alpha=False).gamma.rows
+            row for row in factorize(canon).gamma.rows
             if stabilizer_parity(canon, row) == -1
         )
         seen[canon.adj] = BalancedClass(canon, witness, induced_edge_count(canon, witness))

@@ -10,6 +10,7 @@ import sys
 from . import bias, gf2, localize, oracle, schmidt, xchains
 from .bias import DyadicReal
 from .graphs import Bipartition, Graph, emit_graph6, named, parse_edge_list, parse_graph6
+from .graphs import all_graphs, random_graph
 from .stab import stabilizer_parity
 
 
@@ -51,15 +52,15 @@ def _dyadic_echo(d: DyadicReal) -> dict:
     return {"value": str(d), "approx": d.approx()}
 
 
-def _bits(mask: int, width: int) -> str:
-    return gf2.mask_to_string(mask, width)
+_bits = gf2.mask_to_string
 
 
-def _emit(report: dict, fmt: str, text: str) -> None:
+def _emit(report: dict, fmt: str, lines) -> None:
+    """Print the JSON report, or the text lines(), rendered only when asked for."""
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(text)
+        print("\n".join(lines()))
 
 
 def _expansion_echo(e: xchains.XBasisExpansion) -> dict:
@@ -73,9 +74,18 @@ def _expansion_echo(e: xchains.XBasisExpansion) -> dict:
     }
 
 
+def _set(mask: int) -> str:
+    return "{" + ",".join(map(str, gf2.vertices_of(mask))) + "}"
+
+
+def _graph_line(g: Graph) -> str:
+    return f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())
+
+
 def _cmd_xchains(args) -> int:
     g = load_graph(args.graph)
     xd = xchains.factorize(g)
+    alpha = xchains.global_sign(g, xd)
     gens = [
         {
             "vertices": list(gf2.vertices_of(row)),
@@ -91,49 +101,54 @@ def _cmd_xchains(args) -> int:
         "generators": gens,
         "kappa": list(xd.kappa),
         "x_gamma": _bits(xd.x_gamma, g.n),
-        "alpha": xd.alpha,
+        "alpha": alpha,
     }
-    lines = [f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())]
-    lines.append(f"X-chain group: dim {xd.gamma.dim}")
-    for gen in gens:
-        vs = "{" + ",".join(map(str, gen["vertices"])) + "}"
-        lines.append(
-            f"  {vs:<14} bits {gen['bits']}  parity {gen['parity']:+d}"
-            f"  exclusive vertex {gen['exclusive']}"
-        )
-    lines.append("free vertices K: " + (",".join(map(str, xd.kappa)) or "(none)"))
-    lines.append(f"fundamental string x_Gamma = {report['x_gamma']}")
-    lines.append(f"global sign alpha = {xd.alpha:+d}")
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield _graph_line(g)
+        yield f"X-chain group: dim {xd.gamma.dim}"
+        for gen, row in zip(gens, xd.gamma.rows):
+            yield (
+                f"  {_set(row):<14} bits {gen['bits']}  parity {gen['parity']:+d}"
+                f"  exclusive vertex {gen['exclusive']}"
+            )
+        yield "free vertices K: " + (",".join(map(str, xd.kappa)) or "(none)")
+        yield f"fundamental string x_Gamma = {report['x_gamma']}"
+        yield f"global sign alpha = {alpha:+d}"
+
+    _emit(report, args.format, lines)
     return 0
 
 
 def _cmd_represent(args) -> int:
     g = load_graph(args.graph)
     xd = xchains.factorize(g)
-    e = xchains.x_representation(g)
+    e = xchains.x_representation(g, xd)
+    alpha = e.terms[xd.x_gamma]  # the term |x_Gamma> carries the global sign alone
     report = {
         "command": "represent",
         "graph": _graph_echo(g),
         "x_gamma": _bits(xd.x_gamma, g.n),
-        "alpha": xd.alpha,
+        "alpha": alpha,
         "expansion": _expansion_echo(e),
     }
-    lines = [f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())]
-    lines.append("P(V) = <Gamma> x <K>")
-    lines.append(f"  Gamma (X-chain group, dim {xd.gamma.dim}):")
-    for p, row in zip(xd.gamma.pivots, xd.gamma.rows):
-        vs = "{" + ",".join(map(str, gf2.vertices_of(row))) + "}"
-        lines.append(
-            f"    {vs:<14} bits {_bits(row, g.n)}"
-            f"  parity {stabilizer_parity(g, row):+d}  exclusive {p + 1}"
-        )
-    lines.append("  K (free vertices): " + (",".join(map(str, xd.kappa)) or "(none)"))
-    lines.append(f"    -> fundamental string |{report['x_gamma']}>")
-    lines.append(f"    -> {1 << len(xd.kappa)} product-state terms, one per subset of K")
-    lines.append(f"  global sign alpha = {xd.alpha:+d}")
-    lines.append(f"|G> = {e}")
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield _graph_line(g)
+        yield "P(V) = <Gamma> x <K>"
+        yield f"  Gamma (X-chain group, dim {xd.gamma.dim}):"
+        for p, row in zip(xd.gamma.pivots, xd.gamma.rows):
+            yield (
+                f"    {_set(row):<14} bits {_bits(row, g.n)}"
+                f"  parity {stabilizer_parity(g, row):+d}  exclusive {p + 1}"
+            )
+        yield "  K (free vertices): " + (",".join(map(str, xd.kappa)) or "(none)")
+        yield f"    -> fundamental string |{report['x_gamma']}>"
+        yield f"    -> {1 << len(xd.kappa)} product-state terms, one per subset of K"
+        yield f"  global sign alpha = {alpha:+d}"
+        yield f"|G> = {e}"
+
+    _emit(report, args.format, lines)
     return 0
 
 
@@ -141,7 +156,7 @@ def _cmd_bias(args) -> int:
     g = load_graph(args.graph)
     d = bias.bias_degree(g)
     report = {"command": "bias", "graph": _graph_echo(g), "bias": _dyadic_echo(d)}
-    _emit(report, args.format, f"bias degree: {d} (approx {d.approx():.6g})")
+    _emit(report, args.format, lambda: [f"bias degree: {d} (approx {d.approx():.6g})"])
     return 0
 
 
@@ -155,51 +170,53 @@ def _cmd_overlap(args) -> int:
         "graph2": _graph_echo(h),
         "overlap": _dyadic_echo(d),
     }
-    _emit(report, args.format, f"overlap: {d} (approx {d.approx():.6g})")
+    _emit(report, args.format, lambda: [f"overlap: {d} (approx {d.approx():.6g})"])
     return 0
 
 
 def _cmd_balanced(args) -> int:
-    max_n = args.max_n if args.max_n is not None else 5
-    classes = []
-    for n in range(1, max_n + 1):
-        for entry in bias.enumerate_balanced(n):
-            classes.append(
-                {
-                    "n": n,
-                    "edges": [list(e) for e in entry.graph.edges()],
-                    "witness_xchain": list(gf2.vertices_of(entry.witness)),
-                    "witness_edge_count": entry.witness_edge_count,
-                }
-            )
+    max_n = args.max_n
+    entries = [(n, c) for n in range(1, max_n + 1) for c in bias.enumerate_balanced(n)]
+    classes = [
+        {
+            "n": n,
+            "edges": [list(e) for e in c.graph.edges()],
+            "witness_xchain": list(gf2.vertices_of(c.witness)),
+            "witness_edge_count": c.witness_edge_count,
+        }
+        for n, c in entries
+    ]
     report = {"command": "balanced", "max_n": max_n, "classes": classes}
-    lines = [f"balanced graph-state classes up to n={max_n}: {len(classes)}"]
-    for c in classes:
-        edges = " ".join(f"({u},{v})" for u, v in c["edges"])
-        wit = "{" + ",".join(map(str, c["witness_xchain"])) + "}"
-        lines.append(
-            f"  n={c['n']}  edges: {edges}  odd-edge X-chain {wit}"
-            f" ({c['witness_edge_count']} edges)"
-        )
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield f"balanced graph-state classes up to n={max_n}: {len(classes)}"
+        for n, c in entries:
+            edges = " ".join(f"({u},{v})" for u, v in c.graph.edges())
+            yield (
+                f"  n={n}  edges: {edges}  odd-edge X-chain {_set(c.witness)}"
+                f" ({c.witness_edge_count} edges)"
+            )
+
+    _emit(report, args.format, lines)
     return 0
+
+
+def _partition_echo(part: Bipartition) -> dict:
+    return {"a": list(gf2.vertices_of(part.a)), "b": list(gf2.vertices_of(part.b))}
 
 
 def _cmd_schmidt(args) -> int:
     g = load_graph(args.graph)
     part = Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
     dec = schmidt.schmidt_decomposition(g, part)
-    rank, k, measure = schmidt.schmidt_rank(g, part)
+    k = dec.k
     report = {
         "command": "schmidt",
         "graph": _graph_echo(g),
-        "partition": {
-            "a": list(gf2.vertices_of(part.a)),
-            "b": list(gf2.vertices_of(part.b)),
-        },
+        "partition": _partition_echo(part),
         "k": k,
-        "rank": rank,
-        "geometric_measure": measure,
+        "rank": dec.rank,
+        "geometric_measure": k,
         "coeff": f"2^-{k}/2",
         "alpha": dec.alpha,
         "terms": [
@@ -212,17 +229,17 @@ def _cmd_schmidt(args) -> int:
             for t in dec.terms
         ],
     }
-    lines = [
-        f"bipartition A={report['partition']['a']} B={report['partition']['b']}",
-        f"Schmidt rank {rank} (log {k}), geometric measure {measure}",
-        f"coefficient 2^-{k}/2, global sign alpha = {dec.alpha:+d}",
-    ]
-    for t in dec.terms:
-        label = "{" + ",".join(map(str, gf2.vertices_of(t.label))) + "}"
-        lines.append(f"  term {label or '{}'}: sign {t.sign:+d}")
-        lines.append(f"    A: {t.vec_a}")
-        lines.append(f"    B: {t.vec_b}")
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield f"bipartition A={report['partition']['a']} B={report['partition']['b']}"
+        yield f"Schmidt rank {dec.rank} (log {k}), geometric measure {k}"
+        yield f"coefficient 2^-{k}/2, global sign alpha = {dec.alpha:+d}"
+        for t in dec.terms:
+            yield f"  term {_set(t.label)}: sign {t.sign:+d}"
+            yield f"    A: {t.vec_a}"
+            yield f"    B: {t.vec_b}"
+
+    _emit(report, args.format, lines)
     return 0
 
 
@@ -235,10 +252,7 @@ def _cmd_localize(args) -> int:
     report = {
         "command": "localize",
         "graph": _graph_echo(g),
-        "partition": {
-            "a": list(gf2.vertices_of(part.a)),
-            "b": list(gf2.vertices_of(part.b)),
-        },
+        "partition": _partition_echo(part),
         "ideal": _bits(rep.ideal_word, width_a),
         "noisy": _bits(rep.noisy, width_a),
         "corrected": _bits(rep.corrected, width_a),
@@ -247,42 +261,20 @@ def _cmd_localize(args) -> int:
         "success": rep.success,
         "bob_state": _expansion_echo(rep.bob_state),
     }
-    lines = [
-        f"ideal outcome   {report['ideal']}",
-        f"noisy outcome   {report['noisy']}",
-        f"corrected to    {report['corrected']} ({rep.flips} flip(s))",
-        f"decoded label   {set(gf2.vertices_of(rep.decoded_label)) or '{}'}",
-        f"Bob's state     {rep.bob_state}",
-        f"success         {rep.success}",
-    ]
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield f"ideal outcome   {report['ideal']}"
+        yield f"noisy outcome   {report['noisy']}"
+        yield f"corrected to    {report['corrected']} ({rep.flips} flip(s))"
+        yield f"decoded label   {set(gf2.vertices_of(rep.decoded_label)) or '{}'}"
+        yield f"Bob's state     {rep.bob_state}"
+        yield f"success         {rep.success}"
+
+    _emit(report, args.format, lines)
     return 0
 
 
 # ---------------------------------------------------------------- verify
-
-
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.getrandbits(1):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def _all_graphs(n: int):
-    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(slots)):
-        adj = [0] * n
-        m = mask
-        for u, v in slots:
-            if m & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            m >>= 1
-        yield Graph(n, tuple(adj))
 
 
 def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list[str]):
@@ -298,7 +290,7 @@ def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list
     if dense.scale != e.half_log_norm or dense_terms != e.terms:
         mismatches.append(f"x-representation {tag}")
     # (c) overlap vs dense inner product, random partner
-    h = _random_graph(rng, g.n)
+    h = random_graph(rng, g.n)
     if bias.overlap(g, h) != oracle.dense_overlap(g, h):
         mismatches.append(f"overlap {tag}")
     # (d) Schmidt rank vs dense reshaped rank, random bipartitions
@@ -326,12 +318,12 @@ def run_verification(max_n: int = 8, samples: int = 30, seed: int = 0):
     notes: list[str] = []
     count = 0
     for n in range(1, min(max_n, 5) + 1):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             _verify_one(g, rng, mismatches, notes)
             count += 1
     for n in range(6, max_n + 1):
         for _ in range(samples):
-            _verify_one(_random_graph(rng, n), rng, mismatches, notes)
+            _verify_one(random_graph(rng, n), rng, mismatches, notes)
             count += 1
     return count, mismatches, notes
 
@@ -348,14 +340,16 @@ def _cmd_verify(args) -> int:
         "notes": notes,
         "ok": not mismatches,
     }
-    lines = [f"checked {count} graphs up to n={args.max_n} (seed {args.seed})"]
-    if notes:
-        lines.append(f"notes: {len(notes)} (first 3 shown)")
-        lines.extend(f"  note: {note}" for note in notes[:3])
-    for bad in mismatches:
-        lines.append(f"MISMATCH: {bad}")
-    lines.append("ok" if not mismatches else f"{len(mismatches)} mismatch(es)")
-    _emit(report, args.format, "\n".join(lines))
+
+    def lines():
+        yield f"checked {count} graphs up to n={args.max_n} (seed {args.seed})"
+        if notes:
+            yield f"notes: {len(notes)} (first 3 shown)"
+            yield from (f"  note: {note}" for note in notes[:3])
+        yield from (f"MISMATCH: {bad}" for bad in mismatches)
+        yield "ok" if not mismatches else f"{len(mismatches)} mismatch(es)"
+
+    _emit(report, args.format, lines)
     return 0 if not mismatches else 1
 
 
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_overlap,
         **{"--graph": graph_flag, "--graph2": dict(graph_flag)},
     )
-    add("balanced", _cmd_balanced, **{"--max-n": {"type": int, "default": None}})
+    add("balanced", _cmd_balanced, **{"--max-n": {"type": int, "default": 5}})
     add(
         "schmidt",
         _cmd_schmidt,
@@ -423,7 +417,14 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

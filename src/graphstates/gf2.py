@@ -35,7 +35,7 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 def mask_to_string(mask: int, width: int) -> str:
     """Binary string i_1...i_n (vertex 1 first)."""
-    return "".join("1" if (mask >> j) & 1 else "0" for j in range(width))
+    return bin(mask | 1 << width)[:2:-1]
 
 
 def string_to_mask(bits: str) -> int:
@@ -176,24 +176,21 @@ def complement_basis(sub: Basis, sup: Basis) -> Basis:
     return Basis(sup.width, tuple(taken), tuple((r & -r).bit_length() - 1 for r in taken))
 
 
-def intersect(a: Basis, b: Basis) -> Basis:
-    """Basis of span(a) & span(b) via the Zassenhaus double-width trick."""
-    if a.width != b.width:
-        raise ValueError("width mismatch")
-    w = a.width
-    stacked = [row | (row << w) for row in a.rows]
-    stacked += [row for row in b.rows]
-    echelon = rref(stacked, 2 * w)
-    low_mask = (1 << w) - 1
-    inter = [row >> w for row in echelon.rows if (row & low_mask) == 0]
-    return rref(inter, w)
+def gray_walk(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """Walk span(rows) in Gray order, one row per step, from the zero vector.
+
+    Yields (i, v) after row i has been XORed into the running vector v, so
+    the 2^len(rows) - 1 steps visit every nonzero combination once when the
+    rows are independent.  The starting zero vector is not yielded.
+    """
+    cur = 0
+    for t in range(1, 1 << len(rows)):
+        i = (t & -t).bit_length() - 1
+        cur ^= rows[i]
+        yield i, cur
 
 
 def iter_span(rows: Iterable[int]) -> Iterator[int]:
     """All 2^k XOR combinations of the given independent rows, Gray order."""
-    rows = list(rows)
-    cur = 0
-    yield cur
-    for t in range(1, 1 << len(rows)):
-        cur ^= rows[(t & -t).bit_length() - 1]
-        yield cur
+    yield 0
+    yield from (v for _, v in gray_walk(list(rows)))

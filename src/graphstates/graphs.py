@@ -6,8 +6,10 @@ bitmasks: bit j-1 of adj[v-1] is 1 iff vertices v and j are adjacent.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Iterator
 
 from . import gf2
 
@@ -144,6 +146,22 @@ def named(spec: str) -> Graph:
     if family == "complete":
         return from_edges(n, list(combinations(range(1, n + 1), 2)))
     raise ValueError(f"unknown graph family {family!r}")
+
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled graph on n vertices, 2^C(n,2) of them.
+
+    Graph number m has the edges {u,v} (u < v, in lexicographic order)
+    whose index is a set bit of m.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    for m in range(1 << len(pairs)):
+        yield from_edges(n, [e for k, e in enumerate(pairs) if (m >> k) & 1])
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    """Random labeled graph: one rng.getrandbits(1) per pair u < v, in lexicographic order."""
+    return from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.getrandbits(1)])
 
 
 def graph_symmetric_difference(g: Graph, h: Graph) -> Graph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .graphs import Bipartition, Graph
-from .schmidt import partition_groups, schmidt_vectors
+from .schmidt import PartitionGroups, partition_groups, schmidt_vectors
 from .stab import correlation_index
 from .xchains import XBasisExpansion
 
@@ -50,7 +50,11 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
     Requires every A-side Schmidt vector to be a single X-basis string;
     a single codeword gets the sentinel distance |A| + 1.
     """
-    pg = partition_groups(g, part)
+    return _code(g, partition_groups(g, part))
+
+
+def _code(g: Graph, pg: PartitionGroups) -> LocalizationCode:
+    part = pg.part
     for name, basis in (("inside-A subgroup", pg.k_aa), ("detached-A subgroup", pg.k_simb)):
         if basis.dim:
             raise ValueError(
@@ -107,12 +111,12 @@ def simulate(
     """
     if error_positions & ~part.a:
         raise ValueError("error positions must lie inside part A")
-    code = extract_code(g, part)
+    pg = partition_groups(g, part)
+    code = _code(g, pg)
     rng = random.Random(seed)
     ideal_label, ideal_word = code.codewords[rng.randrange(len(code.codewords))]
     noisy = ideal_word ^ gf2.restrict(error_positions, part.a_positions())
     decoded_label, corrected, flips = decode(code, noisy)
-    pg = partition_groups(g, part)
     _, _, bob = schmidt_vectors(g, pg, decoded_label)
     return LocalizationReport(
         ideal_label=ideal_label,

@@ -9,6 +9,7 @@ the Schmidt rank as an exact power of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gf2
 from .bias import DyadicReal
@@ -46,6 +47,11 @@ class PartitionGroups:
     k_harpoon: Basis
     xdata: XChainData
 
+    @cached_property
+    def a_group(self) -> Basis:
+        """k_aa + k_simb: the subgroup whose states are the A-side factors."""
+        return gf2.rref(self.k_aa.rows + self.k_simb.rows, self.reps.width)
+
 
 def _combine(w: Basis, coeffs: Basis) -> Basis:
     """Map coefficient vectors over w's rows back to vertex-set masks."""
@@ -63,7 +69,7 @@ def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
     """Split the correlation representatives into the four A|B subgroups."""
     if part.n != g.n:
         raise ValueError("bipartition size does not match the graph")
-    xd = factorize(g, with_alpha=False)
+    xd = factorize(g)
     w = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
     corr = [correlation_index(g, row) for row in w.rows]
 
@@ -102,14 +108,13 @@ def schmidt_vectors(
     if not gf2.contains(pg.k_harpoon, xi):
         raise ValueError("label lies outside the crossing-correlation span")
     sign = stabilizer_parity(g, xi)
-    a_group = gf2.rref(pg.k_aa.rows + pg.k_simb.rows, g.n)
-    full_a = correlation_state(g, pg.xdata, a_group, xi)
+    full_a = correlation_state(g, pg.xdata, pg.a_group, xi)
     full_b = correlation_state(g, pg.xdata, pg.k_b, xi)
     pos_a = pg.part.a_positions()
     pos_b = pg.part.b_positions()
     vec_a = XBasisExpansion(
         gf2.vertices_of(pg.part.a),
-        a_group.dim,
+        pg.a_group.dim,
         {gf2.restrict(m, pos_a): s for m, s in full_a.terms.items()},
     )
     vec_b = XBasisExpansion(
@@ -147,10 +152,23 @@ class SchmidtDecomposition:
     def rank(self) -> int:
         return len(self.terms)
 
+    @property
+    def k(self) -> int:
+        """Log of the rank, which is also the geometric entanglement measure."""
+        return self.coeff.half_log
+
 
 def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
-    """Exact Schmidt decomposition of the graph state along a bipartition."""
+    """Exact Schmidt decomposition of the graph state along a bipartition.
+
+    The number of crossing labels is checked against the cut rank.
+    """
     pg = partition_groups(g, part)
+    _, k, _ = schmidt_rank(g, part)
+    if pg.k_harpoon.dim != k:
+        raise AssertionError(
+            f"rank bookkeeping mismatch: quotient {pg.k_harpoon.dim} vs cut rank {k}"
+        )
     terms = []
     for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
         sign, vec_a, vec_b = schmidt_vectors(g, pg, xi)
@@ -163,28 +181,10 @@ def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
 def schmidt_rank(g: Graph, part: Bipartition) -> tuple[int, int, int]:
     """Schmidt rank 2^k, its log, and the geometric entanglement measure k.
 
-    When |A| <= |B| the alternative counting formula over subgroups inside
-    A is asserted as a consistency check.
+    k is the GF(2) rank of the adjacency block A[A, B], the cut rank of
+    the bipartition (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
     """
-    pg = partition_groups(g, part)
-    k = pg.k_harpoon.dim
-    n_a = pg.part.a.bit_count()
-    n_b = pg.part.b.bit_count()
-    if n_a <= n_b:
-        # counting check: |A| minus the supported-in-A stabilizer count,
-        # split into its X-chain part and its correlation-group image.
-        # The image dimension is coset-choice independent; the constructed
-        # k_aa can undercount it when a coset's canonical representative
-        # leaves A.
-        pos_b = part.b_positions()
-        constraints = [1 << p for p in pos_b] + [g.adj[p] for p in pos_b]
-        supported = gf2.kernel(constraints, g.n)
-        inside_a = gf2.rref([1 << p for p in part.a_positions()], g.n)
-        gamma_in_a = gf2.intersect(pg.xdata.gamma, inside_a)
-        image_dim = supported.dim - gamma_in_a.dim
-        alt = n_a - image_dim - gamma_in_a.dim
-        if alt != k:
-            raise AssertionError(
-                f"rank bookkeeping mismatch: quotient {k} vs counting {alt}"
-            )
+    if part.n != g.n:
+        raise ValueError("bipartition size does not match the graph")
+    k = gf2.rank([g.adj[p] & part.b for p in part.a_positions()], g.n)
     return 1 << k, k, k

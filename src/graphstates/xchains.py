@@ -30,15 +30,15 @@ class XChainData:
                   correlation-group representatives
     x_gamma    -- fundamental X-basis string: pivots of the negative-parity
                   generators
-    alpha      -- global sign, the sign of the sum of parities over the
-                  span of kappa singletons; None when factorized without it
+
+    The global sign is not part of the factorization; global_sign(g, xd)
+    computes it.
     """
 
     gamma: Basis
     exclusive: tuple[int, ...]
     kappa: tuple[int, ...]
     x_gamma: int
-    alpha: int | None
 
 
 @dataclass
@@ -86,7 +86,7 @@ def is_xchain(g: Graph, xi: int) -> bool:
     return correlation_index(g, xi) == 0
 
 
-def factorize(g: Graph, with_alpha: bool = True) -> XChainData:
+def factorize(g: Graph) -> XChainData:
     """Extract the canonical X-chain factorization of a graph.
 
     The kernel basis is in reduced echelon form, so each generator's pivot
@@ -102,10 +102,7 @@ def factorize(g: Graph, with_alpha: bool = True) -> XChainData:
     for p, row in zip(gamma.pivots, gamma.rows):
         if stabilizer_parity(g, row) == -1:
             x_gamma |= 1 << p
-    xd = XChainData(gamma, exclusive, kappa, x_gamma, None)
-    if with_alpha:
-        xd = XChainData(gamma, exclusive, kappa, x_gamma, global_sign(g, xd))
-    return xd
+    return XChainData(gamma, exclusive, kappa, x_gamma)
 
 
 def global_sign(g: Graph, xd: XChainData) -> int:
@@ -145,21 +142,16 @@ def xchain_state(g: Graph, xd: XChainData, xi: int) -> tuple[int, int]:
 
 def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpansion:
     """Uniform superposition of the product-state terms over xi + span(k)."""
-    terms: dict[int, int] = {}
-    base_parity = stabilizer_parity(g, xi)
-    base_corr = correlation_index(g, xi)
+    parity = stabilizer_parity(g, xi)
+    corr = correlation_index(g, xi)
+    terms = {xd.x_gamma ^ corr: parity}
     row_parity = [stabilizer_parity(g, r) for r in k.rows]
     row_corr = [correlation_index(g, r) for r in k.rows]
-    cur = xi
-    parity = base_parity
-    corr = base_corr
-    for t in range(1 << k.dim):
-        if t:
-            i = (t & -t).bit_length() - 1  # Gray-code transition bit
-            flip = gf2.dot(cur, row_corr[i])
-            parity *= row_parity[i] * (-1 if flip else 1)
-            cur ^= k.rows[i]
-            corr ^= row_corr[i]
+    for i, v in gf2.gray_walk(k.rows):
+        # adding row r to x multiplies the parity by parity(r) * (-1)^(x.Ar);
+        # x.Ar is the same before and after the step because r.Ar = 0
+        parity *= row_parity[i] * (-1 if gf2.dot(xi ^ v, row_corr[i]) else 1)
+        corr ^= row_corr[i]
         mask = xd.x_gamma ^ corr
         if mask in terms:
             raise ValueError(
@@ -169,14 +161,16 @@ def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpa
     return XBasisExpansion(tuple(range(1, g.n + 1)), k.dim, terms)
 
 
-def x_representation(g: Graph) -> XBasisExpansion:
+def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
     """Exact X-basis expansion of the graph state, global sign included.
 
     Builds the superposition over the span of the free-vertex singletons
     and multiplies it by the global sign, so the result equals the dense
-    reference state bit for bit.
+    reference state bit for bit; its term |x_Gamma> carries the global
+    sign alone.  A caller that has factorized the graph already passes xd.
     """
-    xd = factorize(g, with_alpha=False)
+    if xd is None:
+        xd = factorize(g)
     if len(xd.kappa) > EXPANSION_LIMIT:
         raise ValueError(
             f"expansion has 2^{len(xd.kappa)} terms; capped at 2^{EXPANSION_LIMIT}"
@@ -192,18 +186,11 @@ def measurement_support(g: Graph) -> list[tuple[int, Fraction]]:
     """Nonzero full-X-measurement outcomes with their exact probabilities."""
     if g.n > 20:
         raise ValueError("measurement support is capped at n <= 20")
-    xd = factorize(g, with_alpha=False)
+    xd = factorize(g)
     prob = Fraction(1, 1 << len(xd.kappa))
-    support = []
-    corr = 0
-    rows = [1 << (v - 1) for v in xd.kappa]
-    row_corr = [correlation_index(g, r) for r in rows]
-    for t in range(1 << len(rows)):
-        if t:
-            corr ^= row_corr[(t & -t).bit_length() - 1]
-        support.append((xd.x_gamma ^ corr, prob))
-    support.sort()
-    return support
+    # x_Gamma + the span of the correlation images of the free singletons
+    images = [g.adj[v - 1] for v in xd.kappa]
+    return sorted((xd.x_gamma ^ c, prob) for c in gf2.iter_span(images))
 
 
 def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:

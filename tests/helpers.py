@@ -4,31 +4,7 @@ from __future__ import annotations
 
 import random
 
-from graphstates.graphs import Graph
-
-
-def all_graphs(n: int):
-    """Every labeled simple graph on n vertices."""
-    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(slots)):
-        adj = [0] * n
-        m = mask
-        for u, v in slots:
-            if m & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            m >>= 1
-        yield Graph(n, tuple(adj))
-
-
-def random_graph(rng: random.Random, n: int) -> Graph:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.getrandbits(1):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+from graphstates.graphs import Graph, all_graphs, random_graph  # noqa: F401  (re-exported)
 
 
 def gnp_graph(rng: random.Random, n: int, p: float) -> Graph:

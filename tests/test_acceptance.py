@@ -241,7 +241,7 @@ def test_criterion_8_appendix_lemma_suite():
             for x2 in range(1 << n):
                 assert multiply(g, stabs[x1], stabs[x2]) == stabs[x1 ^ x2]
         # correlation states are fixed by their stabilizer product group
-        xd = factorize(g, with_alpha=False)
+        xd = factorize(g)
         singles = [1 << (v - 1) for v in xd.kappa]
         chosen = [s for s in singles if rng.getrandbits(1)]
         k = rref(chosen, n)

@@ -1,8 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import graphstates
 
 from graphstates.cli import load_graph, run
 from graphstates.gf2 import mask_of, rref, string_to_mask
@@ -114,6 +120,14 @@ def test_localize_command(capsys):
     assert report["noisy"] != report["corrected"]
 
 
+def test_schmidt_past_the_old_width_cap(capsys):
+    part_a = ",".join(map(str, range(1, 13)))
+    code, report = run_json(capsys, ["schmidt", "--graph", "cycle:24", "--part-a", part_a])
+    assert code == 0
+    assert report["k"] == 2
+    assert report["rank"] == len(report["terms"]) == 4
+
+
 def test_verify_command_ok(capsys):
     code, report = run_json(
         capsys, ["verify", "--max-n", "4", "--samples", "5", "--seed", "3"]
@@ -166,3 +180,37 @@ def test_text_output_default(capsys):
     assert run(["bias", "--graph", "cycle:3"]) == 0
     out = capsys.readouterr().out
     assert "bias degree: 0" in out
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    import graphstates.schmidt as schmidt
+
+    def broken(g, part):
+        raise AssertionError("partition groups out of step")
+
+    monkeypatch.setattr(schmidt, "partition_groups", broken)
+    assert run(["schmidt", "--graph", "house", "--part-a", "1,2,3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: partition groups out of step\n"
+    assert "Traceback" not in captured.err
+
+
+def _python_m(*argv):
+    src = str(Path(graphstates.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "graphstates.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_python_m_runs_the_cli():
+    done = _python_m("bias", "--graph", "cycle:3")
+    assert done.returncode == 0
+    assert done.stdout == "bias degree: 0 (approx 0)\n"
+    done = _python_m("bias", "--graph", "cycle:x")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

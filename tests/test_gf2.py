@@ -9,7 +9,6 @@ from graphstates.gf2 import (
     Basis,
     complement_basis,
     contains,
-    intersect,
     iter_span,
     kernel,
     rank,
@@ -87,26 +86,6 @@ def test_complement_rejects_non_subspace():
         complement_basis(sub, sup)
 
 
-def test_intersect_examples():
-    a = rref(masks("110", "001"), 3)
-    assert intersect(a, a) == a
-    lines = intersect(rref(masks("100"), 3), rref(masks("010"), 3))
-    assert lines.dim == 0
-    b = rref(masks("010", "001"), 3)
-    assert intersect(a, b).rows == tuple(masks("001"))
-
-
-def test_intersect_matches_brute_force():
-    rng = random.Random(11)
-    for _ in range(200):
-        w = rng.randrange(1, 9)
-        a = rref([rng.getrandbits(w) for _ in range(rng.randrange(4))], w)
-        b = rref([rng.getrandbits(w) for _ in range(rng.randrange(4))], w)
-        got = set(iter_span(intersect(a, b).rows))
-        expect = set(iter_span(a.rows)) & set(iter_span(b.rows))
-        assert got == expect
-
-
 def test_kernel_and_rank_invariants():
     rng = random.Random(7)
     for _ in range(1000):
@@ -161,6 +140,23 @@ def test_restrict_scatter_roundtrip():
         positions = sorted(rng.sample(range(w), rng.randrange(1, w + 1)))
         sub = rng.getrandbits(len(positions))
         assert gf2.restrict(gf2.scatter(sub, positions), positions) == sub
+
+
+def test_mask_to_string_matches_bitwise_definition():
+    for width in range(13):
+        for mask in range(1 << width):
+            expect = "".join("1" if (mask >> j) & 1 else "0" for j in range(width))
+            assert gf2.mask_to_string(mask, width) == expect
+
+
+def test_gray_walk_flips_one_row_per_step():
+    rows = [0b0011, 0b0110, 0b1000]
+    prev = 0
+    for i, v in gf2.gray_walk(rows):
+        assert v == prev ^ rows[i]
+        prev = v
+    span = {a ^ b ^ c for a in (0, 3) for b in (0, 6) for c in (0, 8)}
+    assert sorted(iter_span(rows)) == sorted(span)
 
 
 def test_mask_string_roundtrip():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import all_graphs, random_graph, random_bipartition_mask
+from helpers import all_graphs, gnp_graph, random_graph, random_bipartition_mask
 from graphstates import gf2
 from graphstates.bias import DyadicReal
 from graphstates.gf2 import iter_span, mask_of, rref, string_to_mask
@@ -237,6 +237,28 @@ def test_rank_matches_dense_oracle():
         assert rank == 1 << k
         assert measure == k
         assert rank == dense_schmidt_rank(g, part)
+
+
+def test_cut_rank_equals_crossing_subgroup_dim_to_n32():
+    # the cut rank of A[A, B] against the partition-group quotient, past the
+    # dense oracle, with each cut taken in both orientations
+    rng = random.Random(65)
+    for _ in range(120):
+        n = rng.randrange(2, 33)
+        g = gnp_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        a = random_bipartition_mask(rng, n)
+        b = ((1 << n) - 1) & ~a
+        for part in (Bipartition(n, a, b), Bipartition(n, b, a)):
+            assert schmidt_rank(g, part)[1] == partition_groups(g, part).k_harpoon.dim
+
+
+def test_decomposition_rejects_a_rank_mismatch(monkeypatch):
+    import graphstates.schmidt as schmidt
+
+    g = named("house")
+    monkeypatch.setattr(schmidt, "schmidt_rank", lambda g, part: (4, 2, 2))
+    with pytest.raises(AssertionError, match="rank bookkeeping mismatch"):
+        schmidt.schmidt_decomposition(g, part_of(g, [1, 2, 3]))
 
 
 def test_nonempty_detached_subgroup_is_detected_and_harmless():

@@ -60,18 +60,19 @@ def test_factorize_k4minus1():
     xd = factorize(g)
     assert span_set(xd.gamma) == span_set(rref([mask_of([1, 2, 3]), mask_of([2, 4])], 4))
     assert xd.x_gamma == string_to_mask("1000")
-    assert xd.alpha == 1
+    assert global_sign(g, xd) == 1
     # canonical generators carry the (-1, +1) parity split of the data table
     assert tuple(stabilizer_parity(g, row) for row in xd.gamma.rows) == (-1, 1)
 
 
 def test_factorize_empty3():
-    xd = factorize(named("empty:3"))
+    g = named("empty:3")
+    xd = factorize(g)
     assert span_set(xd.gamma) == set(range(8))
     assert xd.exclusive == (1, 2, 3)
     assert xd.kappa == ()
     assert xd.x_gamma == 0
-    assert xd.alpha == 1
+    assert global_sign(g, xd) == 1
 
 
 def test_factorize_house():
@@ -106,7 +107,7 @@ def test_factorize_structural_invariants():
     rng = random.Random(41)
     for _ in range(200):
         g = random_graph(rng, rng.randrange(1, 11))
-        xd = factorize(g, with_alpha=False)
+        xd = factorize(g)
         assert len(set(xd.exclusive)) == len(xd.exclusive)
         assert xd.gamma.dim + len(xd.kappa) == g.n
         assert set(xd.exclusive) | set(xd.kappa) == set(range(1, g.n + 1))
@@ -231,7 +232,7 @@ def test_parity_homomorphism_on_xchain_span():
 def test_global_sign_matches_reference_sum():
     def check(g):
         xd = factorize(g)
-        assert xd.alpha == parity_sum_sign(g, [1 << (v - 1) for v in xd.kappa])
+        assert global_sign(g, xd) == parity_sum_sign(g, [1 << (v - 1) for v in xd.kappa])
 
     for n in range(1, 7):
         for g in all_graphs(n):
@@ -250,7 +251,7 @@ def test_free_block_of_adjacency_is_nonsingular():
         for p in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
             for _ in range(3):
                 g = gnp_graph(rng, n, p)
-                free = [v - 1 for v in factorize(g, with_alpha=False).kappa]
+                free = [v - 1 for v in factorize(g).kappa]
                 block = [gf2.restrict(g.adj[v], free) for v in free]
                 assert gf2.rank(block, len(free)) == len(free)
                 assert len(free) % 2 == 0
@@ -259,7 +260,7 @@ def test_free_block_of_adjacency_is_nonsingular():
 def test_global_sign_rejects_a_singular_form():
     # a free set that is not one is a broken invariant, not bad input
     g = named("empty:2")
-    xd = XChainData(xchain_group(g), (), (1, 2), 0, None)
+    xd = XChainData(xchain_group(g), (), (1, 2), 0)
     with pytest.raises(AssertionError):
         global_sign(g, xd)
 
@@ -286,7 +287,7 @@ def test_expansion_splitting_identity():
     rng = random.Random(46)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(2, 9))
-        xd = factorize(g, with_alpha=False)
+        xd = factorize(g)
         if len(xd.kappa) < 2:
             continue
         singles = [1 << (v - 1) for v in xd.kappa]
@@ -312,7 +313,7 @@ def test_correlation_states_are_stabilized():
     rng = random.Random(47)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 8))
-        xd = factorize(g, with_alpha=False)
+        xd = factorize(g)
         singles = [1 << (v - 1) for v in xd.kappa]
         chosen = [s for s in singles if rng.getrandbits(1)]
         k = rref(chosen, g.n)
@@ -362,7 +363,7 @@ def test_generator_choice_independence():
             if stabilizer_parity(g, row) == -1:
                 x_alt |= 1 << p
         kappa_alt = tuple(v + 1 for v in range(g.n) if v not in pivots)
-        xd_alt = XChainData(rref(rows, g.n), tuple(p + 1 for p in pivots), kappa_alt, x_alt, None)
+        xd_alt = XChainData(rref(rows, g.n), tuple(p + 1 for p in pivots), kappa_alt, x_alt)
         alt = correlation_state(g, xd_alt, rref([1 << (v - 1) for v in kappa_alt], g.n), 0)
         total = sum(alt.terms.values())
         assert total != 0
