@@ -13,6 +13,8 @@ from .graphs import Graph, all_graphs, canonical_form, graph_symmetric_differenc
 from .stab import induced_edge_count, stabilizer_parity
 from .xchains import factorize, global_sign
 
+MAX_BALANCED_N = 5  # the catalog brute-forces canonical forms over all labeled graphs
+
 
 @dataclass(frozen=True)
 class DyadicReal:
@@ -101,8 +103,8 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
     brute-force canonical form, so n is capped at 5.  Each class carries
     an X-chain whose induced subgraph has an odd edge count.
     """
-    if n > 5:
-        raise ValueError("balanced catalog enumeration is capped at n <= 5")
+    if n > MAX_BALANCED_N:
+        raise ValueError(f"balanced catalog enumeration is capped at n <= {MAX_BALANCED_N}")
     seen = {}
     for g in all_graphs(n):
         if not is_balanced(g):

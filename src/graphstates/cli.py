@@ -1,17 +1,16 @@
-"""Command-line front end: analysis commands and the verify harness."""
+"""Command-line front end: one subcommand per analysis, plus verify."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import bias, gf2, localize, oracle, schmidt, xchains
+from . import bias, gf2, localize, schmidt, xchains
 from .bias import DyadicReal
-from .graphs import Bipartition, Graph, emit_graph6, named, parse_edge_list, parse_graph6
-from .graphs import all_graphs, random_graph
+from .graphs import Bipartition, Graph, named, parse_edge_list, parse_graph6
 from .stab import stabilizer_parity
+from .verify import run_verification
 
 
 def load_graph(spec: str) -> Graph:
@@ -176,6 +175,8 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_balanced(args) -> int:
     max_n = args.max_n
+    if not 1 <= max_n <= bias.MAX_BALANCED_N:
+        raise ValueError(f"max_n {max_n} out of range 1..{bias.MAX_BALANCED_N}")
     entries = [(n, c) for n in range(1, max_n + 1) for c in bias.enumerate_balanced(n)]
     classes = [
         {
@@ -272,60 +273,6 @@ def _cmd_localize(args) -> int:
 
     _emit(report, args.format, lines)
     return 0
-
-
-# ---------------------------------------------------------------- verify
-
-
-def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list[str]):
-    tag = f"n={g.n} g6={emit_graph6(g)}"
-    # (a) symbolic X-chain group vs brute-force scan
-    span = set(gf2.iter_span(xchains.xchain_group(g).rows))
-    if span != oracle.brute_xchains(g):
-        mismatches.append(f"xchain-group {tag}")
-    # (b) X-basis expansion vs dense transform, global sign included
-    dense = oracle.dense_to_x(oracle.dense_state_z(g)).reduced()
-    e = xchains.x_representation(g)
-    dense_terms = {m: a for m, a in enumerate(dense.amps) if a}
-    if dense.scale != e.half_log_norm or dense_terms != e.terms:
-        mismatches.append(f"x-representation {tag}")
-    # (c) overlap vs dense inner product, random partner
-    h = random_graph(rng, g.n)
-    if bias.overlap(g, h) != oracle.dense_overlap(g, h):
-        mismatches.append(f"overlap {tag}")
-    # (d) Schmidt rank vs dense reshaped rank, random bipartitions
-    if g.n >= 2:
-        for _ in range(3):
-            a = rng.randrange(1, (1 << g.n) - 1)
-            part = Bipartition(g.n, a, ((1 << g.n) - 1) & ~a)
-            pg = schmidt.partition_groups(g, part)
-            if pg.k_simb.dim:
-                notes.append(f"nonempty detached subgroup {tag} A={a:b}")
-            if (1 << pg.k_harpoon.dim) != oracle.dense_schmidt_rank(g, part):
-                mismatches.append(f"schmidt-rank {tag} A={a:b}")
-    # (e) measurement support vs Born distribution
-    if dict(xchains.measurement_support(g)) != oracle.x_distribution(g):
-        mismatches.append(f"measurement-support {tag}")
-
-
-def run_verification(max_n: int = 8, samples: int = 30, seed: int = 0):
-    """Oracle-equivalence sweep; returns (graph count, mismatches, notes).
-
-    Exhaustive over all graphs for n <= 5, seeded random samples beyond.
-    """
-    rng = random.Random(seed)
-    mismatches: list[str] = []
-    notes: list[str] = []
-    count = 0
-    for n in range(1, min(max_n, 5) + 1):
-        for g in all_graphs(n):
-            _verify_one(g, rng, mismatches, notes)
-            count += 1
-    for n in range(6, max_n + 1):
-        for _ in range(samples):
-            _verify_one(random_graph(rng, n), rng, mismatches, notes)
-            count += 1
-    return count, mismatches, notes
 
 
 def _cmd_verify(args) -> int:

@@ -7,8 +7,10 @@ assertions downstream are exact equalities.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import gf2
 from .bias import DyadicReal
@@ -31,13 +33,18 @@ class DenseState:
         return sum(a * a for a in self.amps) == 1 << self.scale
 
     def reduced(self) -> "DenseState":
-        """Canonical form: divide out common factors of 2 against the scale."""
-        amps = list(self.amps)
-        scale = self.scale
-        while scale >= 2 and all(a % 2 == 0 for a in amps):
-            amps = [a // 2 for a in amps]
-            scale -= 2
-        return DenseState(self.n, amps, scale)
+        """Canonical form: divide out common factors of 2 against the scale.
+
+        The common power of two is the lowest set bit of the OR of all
+        amplitudes; an all-zero vector keeps only the scale's parity.
+        """
+        common = reduce(operator.or_, self.amps, 0)
+        shift = self.scale // 2
+        if common:
+            shift = min(shift, (common & -common).bit_length() - 1)
+        if shift <= 0:
+            return DenseState(self.n, list(self.amps), self.scale)
+        return DenseState(self.n, [a >> shift for a in self.amps], self.scale - 2 * shift)
 
 
 def _check_size(n: int):
@@ -46,9 +53,16 @@ def _check_size(n: int):
 
 
 def dense_state_z(g: Graph) -> DenseState:
-    """Z-basis graph state: amplitude of |xi> is the stabilizer parity of xi."""
+    """Z-basis graph state: amplitude of |xi> is the stabilizer parity of xi.
+
+    Built by doubling: with vertex v added, |m + v> for m below bit v gets
+    the amplitude of |m> times (-1)^|N(v) & m|, the parity of the edges
+    v brings into the induced subgraph.
+    """
     _check_size(g.n)
-    amps = [stabilizer_parity(g, mask) for mask in range(1 << g.n)]
+    amps = [1]
+    for nbrs in g.adj:
+        amps += [-a if (nbrs & m).bit_count() & 1 else a for m, a in enumerate(amps)]
     return DenseState(g.n, amps, g.n)
 
 
@@ -83,24 +97,25 @@ def check_stabilizer(s: DenseState, p: PauliStabilizer) -> bool:
     return apply_pauli(s, p).amps == s.amps
 
 
-def dense_overlap(g: Graph, h: Graph) -> DyadicReal:
-    """Exact inner product of two graph states via their Z-basis vectors."""
-    if g.n != h.n:
-        raise ValueError("graphs have different vertex counts")
-    _check_size(g.n)
-    total = sum(
-        stabilizer_parity(g, mask) * stabilizer_parity(h, mask)
-        for mask in range(1 << g.n)
-    )
+def state_overlap(s: DenseState, t: DenseState) -> DyadicReal:
+    """Exact inner product of two real dense states of power-of-two norm."""
+    if s.n != t.n:
+        raise ValueError("states have different qubit counts")
+    total = sum(map(operator.mul, s.amps, t.amps))
     if total == 0:
         return DyadicReal.zero()
     sign = 1 if total > 0 else -1
     mag = abs(total)
     if mag & (mag - 1):
         raise AssertionError(f"overlap numerator {total} is not a power of two")
-    # value = sign * 2^j / 2^n = sign * 2^(-(n-j)) = sign * 2^(-m/2)
+    # value = sign * 2^j * 2^(-(s.scale + t.scale)/2)
     j = mag.bit_length() - 1
-    return DyadicReal(sign, 2 * (g.n - j))
+    return DyadicReal(sign, s.scale + t.scale - 2 * j)
+
+
+def dense_overlap(g: Graph, h: Graph) -> DyadicReal:
+    """Exact inner product of two graph states via their Z-basis vectors."""
+    return state_overlap(dense_state_z(g), dense_state_z(h))
 
 
 def _bareiss_rank(mat: list[list[int]]) -> int:
@@ -133,26 +148,55 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
     return rank
 
 
-def dense_schmidt_rank(g: Graph, part: Bipartition) -> int:
+def _index_table(positions: list[int]) -> list[int]:
+    """Full index of each local index: entry k carries bit i of k at positions[i]."""
+    table = [0]
+    for p in positions:
+        table += [t | 1 << p for t in table]
+    return table
+
+
+def _distinct_up_to_sign(rows) -> list[tuple[int, ...]]:
+    """The rows, with each row equal to an earlier one up to sign dropped.
+
+    A dropped row is a multiple of a kept one, so the rank is unchanged.
+    """
+    kept = {}
+    for row in rows:
+        lead = next(filter(None, row), 0)
+        kept[tuple(row) if lead >= 0 else tuple(map(operator.neg, row))] = None
+    return list(kept)
+
+
+def state_schmidt_rank(s: DenseState, part: Bipartition) -> int:
     """Exact rank of the amplitude matrix reshaped along the bipartition."""
-    _check_size(g.n)
-    s = dense_state_z(g)
-    pos_a = part.a_positions()
-    pos_b = part.b_positions()
-    rows = 1 << len(pos_a)
-    cols = 1 << len(pos_b)
-    mat = [
-        [s.amps[gf2.scatter(ia, pos_a) | gf2.scatter(ib, pos_b)] for ib in range(cols)]
-        for ia in range(rows)
-    ]
-    return _bareiss_rank(mat)
+    if part.n != s.n:
+        raise ValueError("bipartition size does not match the state")
+    amps = s.amps
+    cols = _index_table(part.b_positions())
+    rows = _distinct_up_to_sign(
+        [amps[r | c] for c in cols] for r in _index_table(part.a_positions())
+    )
+    return _bareiss_rank([list(col) for col in _distinct_up_to_sign(zip(*rows))])
+
+
+def dense_schmidt_rank(g: Graph, part: Bipartition) -> int:
+    """Exact rank of the graph state's amplitude matrix along the bipartition."""
+    return state_schmidt_rank(dense_state_z(g), part)
 
 
 def brute_xchains(g: Graph) -> set[int]:
-    """All vertex sets with empty correlation index, by direct enumeration."""
+    """All vertex sets with empty correlation index, by direct enumeration.
+
+    The correlation indices are built by doubling: adding vertex v to a
+    set below bit v adds its neighborhood.
+    """
     if g.n > 20:
         raise ValueError("brute-force X-chain scan is capped at n <= 20")
-    return {mask for mask in range(1 << g.n) if correlation_index(g, mask) == 0}
+    corr = [0]
+    for nbrs in g.adj:
+        corr += [c ^ nbrs for c in corr]
+    return {mask for mask, c in enumerate(corr) if c == 0}
 
 
 def parity_sum_sign(g: Graph, rows: list[int]) -> int:
@@ -178,15 +222,16 @@ def parity_sum_sign(g: Graph, rows: list[int]) -> int:
     return (total > 0) - (total < 0)
 
 
+def born_distribution(s: DenseState) -> dict[int, Fraction]:
+    """Exact Born distribution of a dense state, nonzero outcomes only."""
+    denom = 1 << s.scale
+    prob = {a * a: Fraction(a * a, denom) for a in set(s.amps) if a}
+    return {mask: prob[a * a] for mask, a in enumerate(s.amps) if a}
+
+
 def x_distribution(g: Graph) -> dict[int, Fraction]:
     """Exact Born distribution of full X-measurements, nonzero outcomes only."""
-    sx = dense_to_x(dense_state_z(g))
-    denom = 1 << sx.scale
-    return {
-        mask: Fraction(a * a, denom)
-        for mask, a in enumerate(sx.amps)
-        if a != 0
-    }
+    return born_distribution(dense_to_x(dense_state_z(g)))
 
 
 def dense_from_expansion(e: XBasisExpansion) -> DenseState:

@@ -1,0 +1,71 @@
+"""The verify harness: every symbolic result against the dense oracle.
+
+Each graph's Z-basis state and its Hadamard transform are built once and
+feed every dense check; only the overlap check builds a second state, for
+its random partner.
+"""
+
+from __future__ import annotations
+
+import random
+
+from . import bias, gf2, oracle, schmidt, xchains
+from .graphs import Bipartition, Graph, all_graphs, emit_graph6, random_graph
+
+
+def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list[str]):
+    tag = f"n={g.n} g6={emit_graph6(g)}"
+    sz = oracle.dense_state_z(g)
+    sx = oracle.dense_to_x(sz).reduced()
+    xd = xchains.factorize(g)
+    # (a) symbolic X-chain group vs brute-force scan
+    if set(gf2.iter_span(xd.gamma.rows)) != oracle.brute_xchains(g):
+        mismatches.append(f"xchain-group {tag}")
+    # (b) X-basis expansion vs dense transform, global sign included
+    e = xchains.x_representation(g, xd)
+    dense_terms = {m: a for m, a in enumerate(sx.amps) if a}
+    if sx.scale != e.half_log_norm or dense_terms != e.terms:
+        mismatches.append(f"x-representation {tag}")
+    # (c) overlap vs dense inner product, random partner
+    h = random_graph(rng, g.n)
+    if bias.overlap(g, h) != oracle.state_overlap(sz, oracle.dense_state_z(h)):
+        mismatches.append(f"overlap {tag}")
+    # (d) Schmidt rank vs dense reshaped rank, random bipartitions
+    if g.n >= 2:
+        for _ in range(3):
+            a = rng.randrange(1, (1 << g.n) - 1)
+            part = Bipartition(g.n, a, ((1 << g.n) - 1) & ~a)
+            pg = schmidt.partition_groups(g, part)
+            if pg.k_simb.dim:
+                notes.append(f"nonempty detached subgroup {tag} A={a:b}")
+            if (1 << pg.k_harpoon.dim) != oracle.state_schmidt_rank(sz, part):
+                mismatches.append(f"schmidt-rank {tag} A={a:b}")
+    # (e) measurement support vs Born distribution
+    if dict(xchains.measurement_support(g)) != oracle.born_distribution(sx):
+        mismatches.append(f"measurement-support {tag}")
+
+
+def run_verification(max_n: int = 8, samples: int = 30, seed: int = 0):
+    """Oracle-equivalence sweep; returns (graph count, mismatches, notes).
+
+    Exhaustive over all graphs for n <= 5, seeded random samples beyond.
+    Arguments are checked before any graph is, so a sweep the dense oracle
+    cannot finish is refused at once.
+    """
+    if not 1 <= max_n <= oracle.MAX_DENSE_N:
+        raise ValueError(f"max_n {max_n} out of range 1..{oracle.MAX_DENSE_N}")
+    if samples < 0:
+        raise ValueError(f"samples {samples} is negative")
+    rng = random.Random(seed)
+    mismatches: list[str] = []
+    notes: list[str] = []
+    count = 0
+    for n in range(1, min(max_n, 5) + 1):
+        for g in all_graphs(n):
+            _verify_one(g, rng, mismatches, notes)
+            count += 1
+    for n in range(6, max_n + 1):
+        for _ in range(samples):
+            _verify_one(random_graph(rng, n), rng, mismatches, notes)
+            count += 1
+    return count, mismatches, notes

@@ -154,6 +154,39 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     assert "MISMATCH: fake" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "15", "--samples", "100"],
+        ["verify", "--samples", "-3"],
+        ["verify", "--max-n", "0"],
+        ["balanced", "--max-n", "6"],
+        ["balanced", "--max-n", "0"],
+    ],
+)
+def test_bad_sweep_arguments_refused_before_any_work(monkeypatch, capsys, argv):
+    import graphstates.bias as bias
+    import graphstates.verify as verify
+
+    def never(*args):
+        raise RuntimeError("work started on refused arguments")
+
+    monkeypatch.setattr(verify, "_verify_one", never)
+    monkeypatch.setattr(bias, "enumerate_balanced", never)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_smallest_verify_sweeps_stay_valid(capsys):
+    code, report = run_json(capsys, ["verify", "--max-n", "3", "--samples", "0"])
+    assert (code, report["graphs_checked"], report["ok"]) == (0, 11, True)
+    code, report = run_json(capsys, ["verify", "--max-n", "1"])
+    assert (code, report["graphs_checked"], report["ok"]) == (0, 1, True)
+
+
 def test_localize_decoding_tie_exits_cleanly(capsys):
     # distance-2 code: any single error is equidistant from both codewords
     code = run(

@@ -1,6 +1,7 @@
 """Graph constructors, serialization, and canonicalization."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -152,6 +153,24 @@ def test_canonical_form_certificate():
         assert apply_permutation(g, perm) == canon
     with pytest.raises(ValueError):
         canonical_form(named("empty:9"))
+
+
+def _brute_canonical_form(g):
+    best, best_perm = None, None
+    for p in permutations(range(1, g.n + 1)):
+        cand = apply_permutation(g, p)
+        if best is None or cand.adj < best.adj:
+            best, best_perm = cand, p
+    return best, best_perm
+
+
+def test_canonical_form_matches_apply_permutation_brute_force():
+    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+    rng = random.Random(11)
+    graphs += [random_graph(rng, n) for n, count in ((5, 30), (6, 8), (7, 3)) for _ in range(count)]
+    graphs += [named("cycle:6"), named("complete:5"), named("empty:6"), named("star:7")]
+    for g in graphs:
+        assert canonical_form(g) == _brute_canonical_form(g)
 
 
 def test_constructors_keep_adjacency_invariants():

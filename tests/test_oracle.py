@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_graphs, random_graph
+from helpers import all_graphs, random_bipartition_mask, random_graph
 from graphstates.bias import DyadicReal
-from graphstates.gf2 import mask_of, string_to_mask
+from graphstates.gf2 import mask_of, scatter, string_to_mask
 from graphstates.graphs import Bipartition, named
 from graphstates.oracle import (
     DenseState,
+    _bareiss_rank,
     apply_pauli,
     brute_xchains,
     check_stabilizer,
@@ -18,9 +19,16 @@ from graphstates.oracle import (
     dense_schmidt_rank,
     dense_state_z,
     dense_to_x,
+    state_overlap,
     x_distribution,
 )
-from graphstates.stab import PauliStabilizer, generator, induced_stabilizer
+from graphstates.stab import (
+    PauliStabilizer,
+    correlation_index,
+    generator,
+    induced_stabilizer,
+    stabilizer_parity,
+)
 
 
 def test_dense_state_z_examples():
@@ -147,3 +155,76 @@ def test_reduced_is_canonical():
     s = DenseState(1, [2, -2], 3)
     assert s.reduced() == DenseState(1, [1, -1], 1)
     assert dense_state_z(named("empty:2")).reduced() == dense_state_z(named("empty:2"))
+
+
+# ------------------------------------------- rewritten routines vs references
+
+
+def _reference_graphs(max_exhaustive: int, sampled: range, seed: int):
+    """Every graph up to max_exhaustive vertices, then two seeded graphs per n."""
+    for n in range(1, max_exhaustive + 1):
+        yield from all_graphs(n)
+    rng = random.Random(seed)
+    for n in sampled:
+        for _ in range(2):
+            yield random_graph(rng, n)
+
+
+def test_dense_state_z_matches_per_mask_parities():
+    for g in _reference_graphs(5, range(6, 15), seed=41):
+        s = dense_state_z(g)
+        assert s.amps == [stabilizer_parity(g, m) for m in range(1 << g.n)]
+        assert s.scale == g.n
+
+
+def test_brute_xchains_matches_per_mask_scan():
+    for g in _reference_graphs(5, range(6, 13), seed=42):
+        want = {m for m in range(1 << g.n) if correlation_index(g, m) == 0}
+        assert brute_xchains(g) == want
+
+
+def test_dense_schmidt_rank_matches_full_matrix_rank():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randrange(2, 11)
+        g = random_graph(rng, n)
+        amps = dense_state_z(g).amps
+        a = random_bipartition_mask(rng, n)
+        full = (1 << n) - 1
+        for part in (Bipartition(n, a, full & ~a), Bipartition(n, full & ~a, a)):
+            pos_a, pos_b = part.a_positions(), part.b_positions()
+            mat = [
+                [amps[scatter(ia, pos_a) | scatter(ib, pos_b)] for ib in range(1 << len(pos_b))]
+                for ia in range(1 << len(pos_a))
+            ]
+            assert dense_schmidt_rank(g, part) == _bareiss_rank(mat)
+
+
+def _halving_reduced(s: DenseState) -> DenseState:
+    amps, scale = list(s.amps), s.scale
+    while scale >= 2 and all(a % 2 == 0 for a in amps):
+        amps = [a // 2 for a in amps]
+        scale -= 2
+    return DenseState(s.n, amps, scale)
+
+
+def test_reduced_matches_halving_loop():
+    rng = random.Random(44)
+    cases = [DenseState(2, [0, 0, 0, 0], scale) for scale in range(-1, 8)]
+    for _ in range(300):
+        n = rng.randrange(0, 5)
+        power = 1 << rng.randrange(0, 6)
+        amps = [power * rng.randrange(-4, 5) for _ in range(1 << n)]
+        if rng.random() < 0.2:
+            amps[rng.randrange(len(amps))] = 2 * rng.randrange(-3, 3) + 1
+        cases.append(DenseState(n, amps, rng.randrange(0, 12)))
+    assert any(c.scale in (0, 1) and any(c.amps) for c in cases)
+    for s in cases:
+        assert s.reduced() == _halving_reduced(s)
+
+
+def test_state_overlap_of_differently_scaled_states():
+    g, h = named("house"), named("star:5")
+    want = dense_overlap(g, h)
+    assert state_overlap(dense_state_z(g), dense_to_x(dense_to_x(dense_state_z(h)))) == want
+    assert want == state_overlap(dense_state_z(g).reduced(), dense_state_z(h))
