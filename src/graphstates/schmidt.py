@@ -9,7 +9,6 @@ the Schmidt rank as an exact power of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import gf2
 from .bias import DyadicReal
@@ -29,40 +28,30 @@ from .xchains import (
 class PartitionGroups:
     """Factorization of the correlation representatives along a bipartition.
 
+    W is spanned by singletons, so each subgroup is a GF(2) kernel over
+    vertex masks: x lies in W iff it misses every exclusive vertex, and
+    bit p of the correlation index of x is adj[p] . x.
+
     reps       -- W, the span of the free-vertex singletons
-    k_b        -- members whose correlation index lies inside B
-    k_aa       -- members supported in A with correlation index inside A
-    k_simb     -- members with index inside A, support leaving A, and even
-                  edge cut against everything in k_b
-    k_harpoon  -- complement of the three above inside W; its span labels
+    k_b        -- members of W whose correlation index misses A
+    k_aa       -- members of W inside A whose correlation index misses B
+    a_group    -- members of W whose correlation index misses B and that
+                  have even edge cut against everything in k_b; it holds
+                  k_aa, and its states are the A-side factors
+    k_simb     -- complement of k_aa inside a_group
+    k_harpoon  -- complement of a_group + k_b inside W; its span labels
                   the Schmidt terms
-    xdata      -- the graph's X-chain factorization (derived cache)
+    xdata      -- the graph's X-chain factorization
     """
 
     part: Bipartition
     reps: Basis
     k_b: Basis
     k_aa: Basis
+    a_group: Basis
     k_simb: Basis
     k_harpoon: Basis
     xdata: XChainData
-
-    @cached_property
-    def a_group(self) -> Basis:
-        """k_aa + k_simb: the subgroup whose states are the A-side factors."""
-        return gf2.rref(self.k_aa.rows + self.k_simb.rows, self.reps.width)
-
-
-def _combine(w: Basis, coeffs: Basis) -> Basis:
-    """Map coefficient vectors over w's rows back to vertex-set masks."""
-    vecs = []
-    for t in coeffs.rows:
-        xi = 0
-        for i in range(w.dim):
-            if (t >> i) & 1:
-                xi ^= w.rows[i]
-        vecs.append(xi)
-    return gf2.rref(vecs, w.width)
 
 
 def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
@@ -71,34 +60,16 @@ def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
         raise ValueError("bipartition size does not match the graph")
     xd = factorize(g)
     w = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
-    corr = [correlation_index(g, row) for row in w.rows]
-
-    def constraint(positions: list[int], vectors: list[int]) -> list[int]:
-        # one GF(2) equation per position: the combined vector bit must vanish
-        return [
-            sum(((vec >> p) & 1) << i for i, vec in enumerate(vectors))
-            for p in positions
-        ]
-
-    pos_a = part.a_positions()
-    pos_b = part.b_positions()
-
-    k_b = _combine(w, gf2.kernel(constraint(pos_a, corr), w.dim))
-    k_aa = _combine(
-        w,
-        gf2.kernel(
-            constraint(pos_b, corr) + constraint(pos_b, list(w.rows)), w.dim
-        ),
-    )
-    cut_rows = [
-        sum((gf2.dot(w.rows[i], correlation_index(g, beta)) << i) for i in range(w.dim))
-        for beta in k_b.rows
-    ]
-    u = _combine(w, gf2.kernel(constraint(pos_b, corr) + cut_rows, w.dim))
-    k_simb = gf2.complement_basis(k_aa, u)
-    separable = gf2.rref(k_aa.rows + k_simb.rows + k_b.rows, g.n)
-    k_harpoon = gf2.complement_basis(separable, w)
-    return PartitionGroups(part, w, k_b, k_aa, k_simb, k_harpoon, xd)
+    in_w = [1 << p for p in xd.gamma.pivots]
+    corr_misses_b = in_w + [g.adj[p] for p in part.b_positions()]
+    k_b = gf2.kernel(in_w + [g.adj[p] for p in part.a_positions()], g.n)
+    k_aa = gf2.kernel(corr_misses_b + [1 << p for p in part.b_positions()], g.n)
+    # k_aa lies in a_group: x inside A and A.beta inside B give x . A.beta = 0
+    even_cut_k_b = [correlation_index(g, beta) for beta in k_b]
+    a_group = gf2.kernel(corr_misses_b + even_cut_k_b, g.n)
+    k_simb = gf2.complement_basis(k_aa, a_group)
+    k_harpoon = gf2.complement_basis(gf2.rref(a_group.rows + k_b.rows, g.n), w)
+    return PartitionGroups(part, w, k_b, k_aa, a_group, k_simb, k_harpoon, xd)
 
 
 def schmidt_vectors(

@@ -53,9 +53,6 @@ class XBasisExpansion:
     half_log_norm: int
     terms: dict[int, int] = field(default_factory=dict)
 
-    def term_signs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.terms.items()))
-
     def __str__(self):
         m = self.half_log_norm
         if m == 0:
@@ -184,9 +181,12 @@ def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
 
 def measurement_support(g: Graph) -> list[tuple[int, Fraction]]:
     """Nonzero full-X-measurement outcomes with their exact probabilities."""
-    if g.n > 20:
-        raise ValueError("measurement support is capped at n <= 20")
     xd = factorize(g)
+    if len(xd.kappa) > EXPANSION_LIMIT:
+        raise ValueError(
+            f"measurement support has 2^{len(xd.kappa)} outcomes; "
+            f"capped at 2^{EXPANSION_LIMIT}"
+        )
     prob = Fraction(1, 1 << len(xd.kappa))
     # x_Gamma + the span of the correlation images of the free singletons
     images = [g.adj[v - 1] for v in xd.kappa]

@@ -16,6 +16,7 @@ from graphstates.schmidt import (
     schmidt_rank,
     schmidt_vectors,
 )
+from graphstates.stab import correlation_index, cut_parity
 from graphstates.xchains import x_representation, xchain_group
 
 
@@ -75,6 +76,31 @@ def test_partition_groups_dimension_bookkeeping():
         )
         assert rref(stacked, n).dim == total
         assert all(gf2.contains(pg.reps, r) for r in stacked)
+
+
+def _check_subgroup_definitions(g, part):
+    # brute force over span(reps), independent of the kernel algebra
+    pg = partition_groups(g, part)
+    corr = {w: correlation_index(g, w) for w in iter_span(pg.reps.rows)}
+    assert set(iter_span(pg.k_b.rows)) == {w for w, c in corr.items() if not c & part.a}
+    assert set(iter_span(pg.k_aa.rows)) == {
+        w for w, c in corr.items() if not w & part.b and not c & part.b
+    }
+    assert set(iter_span(pg.a_group.rows)) == {
+        w for w, c in corr.items()
+        if not c & part.b and all(cut_parity(g, w, beta) == 0 for beta in pg.k_b.rows)
+    }
+    assert rref(list(pg.k_aa.rows) + list(pg.k_simb.rows), g.n) == pg.a_group
+    assert pg.k_aa.dim + pg.k_simb.dim == pg.a_group.dim
+
+
+def test_partition_groups_match_their_definitions():
+    rng = random.Random(66)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+    graphs += [gnp_graph(rng, n, 0.5) for n in range(6, 11) for _ in range(60)]
+    for g in graphs:
+        a = random_bipartition_mask(rng, g.n)
+        _check_subgroup_definitions(g, Bipartition(g.n, a, ((1 << g.n) - 1) & ~a))
 
 
 def test_schmidt_vectors_house():

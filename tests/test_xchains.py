@@ -195,6 +195,15 @@ def test_measurement_support_examples():
         assert sum(p for _, p in measurement_support(g)) == 1
 
 
+def test_measurement_support_caps_outcomes_not_vertices():
+    assert measurement_support(named("empty:24")) == [(0, Fraction(1))]
+    star = measurement_support(named("star:32"))
+    assert len({mask for mask, _ in star}) == 4
+    assert all(p == Fraction(1, 4) for _, p in star)
+    with pytest.raises(ValueError, match="capped"):
+        measurement_support(named("complete:24"))
+
+
 def test_distinguishing_outcomes_examples():
     only_g, only_h = distinguishing_outcomes(named("empty:3"), named("cycle:3"))
     assert only_g == {0}
