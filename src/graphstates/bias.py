@@ -74,19 +74,6 @@ def is_balanced(g: Graph) -> bool:
     return factorize(g).x_gamma != 0
 
 
-def negative_weight(g: Graph) -> int:
-    """Number of negative Z-basis amplitudes: 2^(n-1) * (1 - bias)."""
-    beta = bias_degree(g)
-    if beta.sign == 0:
-        return 1 << (g.n - 1)
-    if beta.half_log % 2 != 0:
-        raise AssertionError("bias exponent must be even for a graph state")
-    shift = g.n - 1 - beta.half_log // 2
-    if shift < 0:
-        raise AssertionError("bias magnitude exceeds the amplitude budget")
-    return (1 << (g.n - 1)) - beta.sign * (1 << shift)
-
-
 @dataclass(frozen=True)
 class BalancedClass:
     """One isomorphism class of balanced graphs with its odd-edge witness."""
@@ -119,9 +106,3 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
         seen[canon.adj] = BalancedClass(canon, witness, induced_edge_count(canon, witness))
     return sorted(seen.values(), key=lambda c: (c.graph.edge_count(), c.graph.adj))
 
-
-def orthogonal_partner(d: Graph, g: Graph) -> Graph:
-    """Graph h with <G|H> = 0, obtained as the symmetric difference with d."""
-    if not is_balanced(d):
-        raise ValueError("difference graph is not balanced")
-    return graph_symmetric_difference(g, d)

@@ -54,14 +54,6 @@ def _dyadic_echo(d: DyadicReal) -> dict:
 _bits = gf2.mask_to_string
 
 
-def _emit(report: dict, fmt: str, lines) -> None:
-    """Print the JSON report, or the text lines(), rendered only when asked for."""
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines()))
-
-
 def _expansion_echo(e: xchains.XBasisExpansion) -> dict:
     return {
         "qubits": list(e.qubits),
@@ -81,8 +73,7 @@ def _graph_line(g: Graph) -> str:
     return f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())
 
 
-def _cmd_xchains(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_xchains(args, g):
     xd = xchains.factorize(g)
     alpha = xchains.global_sign(g, xd)
     gens = [
@@ -95,8 +86,6 @@ def _cmd_xchains(args) -> int:
         for p, row in zip(xd.gamma.pivots, xd.gamma.rows)
     ]
     report = {
-        "command": "xchains",
-        "graph": _graph_echo(g),
         "generators": gens,
         "kappa": list(xd.kappa),
         "x_gamma": _bits(xd.x_gamma, g.n),
@@ -115,18 +104,14 @@ def _cmd_xchains(args) -> int:
         yield f"fundamental string x_Gamma = {report['x_gamma']}"
         yield f"global sign alpha = {alpha:+d}"
 
-    _emit(report, args.format, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_represent(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_represent(args, g):
     xd = xchains.factorize(g)
     e = xchains.x_representation(g, xd)
     alpha = e.terms[xd.x_gamma]  # the term |x_Gamma> carries the global sign alone
     report = {
-        "command": "represent",
-        "graph": _graph_echo(g),
         "x_gamma": _bits(xd.x_gamma, g.n),
         "alpha": alpha,
         "expansion": _expansion_echo(e),
@@ -147,33 +132,22 @@ def _cmd_represent(args) -> int:
         yield f"  global sign alpha = {alpha:+d}"
         yield f"|G> = {e}"
 
-    _emit(report, args.format, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_bias(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_bias(args, g):
     d = bias.bias_degree(g)
-    report = {"command": "bias", "graph": _graph_echo(g), "bias": _dyadic_echo(d)}
-    _emit(report, args.format, lambda: [f"bias degree: {d} (approx {d.approx():.6g})"])
-    return 0
+    return {"bias": _dyadic_echo(d)}, lambda: [f"bias degree: {d} (approx {d.approx():.6g})"]
 
 
-def _cmd_overlap(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_overlap(args, g):
     h = load_graph(args.graph2)
     d = bias.overlap(g, h)
-    report = {
-        "command": "overlap",
-        "graph": _graph_echo(g),
-        "graph2": _graph_echo(h),
-        "overlap": _dyadic_echo(d),
-    }
-    _emit(report, args.format, lambda: [f"overlap: {d} (approx {d.approx():.6g})"])
-    return 0
+    report = {"graph2": _graph_echo(h), "overlap": _dyadic_echo(d)}
+    return report, lambda: [f"overlap: {d} (approx {d.approx():.6g})"]
 
 
-def _cmd_balanced(args) -> int:
+def _cmd_balanced(args, g):
     max_n = args.max_n
     if not 1 <= max_n <= bias.MAX_BALANCED_N:
         raise ValueError(f"max_n {max_n} out of range 1..{bias.MAX_BALANCED_N}")
@@ -187,7 +161,7 @@ def _cmd_balanced(args) -> int:
         }
         for n, c in entries
     ]
-    report = {"command": "balanced", "max_n": max_n, "classes": classes}
+    report = {"max_n": max_n, "classes": classes}
 
     def lines():
         yield f"balanced graph-state classes up to n={max_n}: {len(classes)}"
@@ -198,22 +172,18 @@ def _cmd_balanced(args) -> int:
                 f" ({c.witness_edge_count} edges)"
             )
 
-    _emit(report, args.format, lines)
-    return 0
+    return report, lines
 
 
 def _partition_echo(part: Bipartition) -> dict:
     return {"a": list(gf2.vertices_of(part.a)), "b": list(gf2.vertices_of(part.b))}
 
 
-def _cmd_schmidt(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_schmidt(args, g):
     part = Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
     dec = schmidt.schmidt_decomposition(g, part)
     k = dec.k
     report = {
-        "command": "schmidt",
-        "graph": _graph_echo(g),
         "partition": _partition_echo(part),
         "k": k,
         "rank": dec.rank,
@@ -240,19 +210,15 @@ def _cmd_schmidt(args) -> int:
             yield f"    A: {t.vec_a}"
             yield f"    B: {t.vec_b}"
 
-    _emit(report, args.format, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_localize(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_localize(args, g):
     part = Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
     errors = gf2.mask_of(_parse_vertices(args.errors, g.n, "--errors"))
     rep = localize.simulate(g, part, errors, args.seed)
     width_a = part.a.bit_count()
     report = {
-        "command": "localize",
-        "graph": _graph_echo(g),
         "partition": _partition_echo(part),
         "ideal": _bits(rep.ideal_word, width_a),
         "noisy": _bits(rep.noisy, width_a),
@@ -271,14 +237,12 @@ def _cmd_localize(args) -> int:
         yield f"Bob's state     {rep.bob_state}"
         yield f"success         {rep.success}"
 
-    _emit(report, args.format, lines)
-    return 0
+    return report, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, g):
     count, mismatches, notes = run_verification(args.max_n, args.samples, args.seed)
     report = {
-        "command": "verify",
         "max_n": args.max_n,
         "samples": args.samples,
         "seed": args.seed,
@@ -296,8 +260,7 @@ def _cmd_verify(args) -> int:
         yield from (f"MISMATCH: {bad}" for bad in mismatches)
         yield "ok" if not mismatches else f"{len(mismatches)} mismatch(es)"
 
-    _emit(report, args.format, lines)
-    return 0 if not mismatches else 1
+    return report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,10 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load its --graph, echo it, print the report or its lines.
+
+    Exit codes: 0 done, 1 when the report says "ok": false, 2 bad input,
+    3 a broken internal invariant.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        g = load_graph(args.graph) if "graph" in args else None
+        report, lines = args.handler(args, g)
+        report["command"] = args.command
+        if g is not None:
+            report["graph"] = _graph_echo(g)
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines()))
+        return 0 if report.get("ok", True) else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

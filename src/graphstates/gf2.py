@@ -38,16 +38,6 @@ def mask_to_string(mask: int, width: int) -> str:
     return bin(mask | 1 << width)[:2:-1]
 
 
-def string_to_mask(bits: str) -> int:
-    m = 0
-    for j, ch in enumerate(bits):
-        if ch == "1":
-            m |= 1 << j
-        elif ch != "0":
-            raise ValueError(f"invalid bit character {ch!r}")
-    return m
-
-
 def dot(a: int, b: int) -> int:
     """GF(2) inner product of two bitmask vectors."""
     return (a & b).bit_count() & 1
@@ -63,15 +53,6 @@ def restrict(mask: int, positions: list[int]) -> int:
     for k, p in enumerate(positions):
         if (mask >> p) & 1:
             out |= 1 << k
-    return out
-
-
-def scatter(mask: int, positions: list[int]) -> int:
-    """Inverse of restrict: place bit k of mask at position positions[k]."""
-    out = 0
-    for k, p in enumerate(positions):
-        if (mask >> k) & 1:
-            out |= 1 << p
     return out
 
 
@@ -118,10 +99,6 @@ def rref(rows: Iterable[int], width: int) -> Basis:
         pivots.append(col)
         r += 1
     return Basis(width, tuple(work[:r]), tuple(pivots))
-
-
-def rank(rows: Iterable[int], width: int) -> int:
-    return rref(rows, width).dim
 
 
 def kernel(rows: Iterable[int], width: int) -> Basis:

@@ -193,12 +193,6 @@ def parse_edge_list(text: str) -> Graph:
     return from_edges(n, edges)
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph6(s: str) -> Graph:
     """Decode a graph6 string (short form, n <= 32)."""
     if s.startswith(">>graph6<<"):
@@ -252,17 +246,6 @@ def emit_graph6(g: Graph) -> str:
             val = (val << 1) | b
         out.append(chr(63 + val))
     return "".join(out)
-
-
-def apply_permutation(g: Graph, perm: tuple[int, ...]) -> Graph:
-    """Relabel vertices: perm[v-1] is the new label of old vertex v."""
-    adj = [0] * g.n
-    for v in range(1, g.n + 1):
-        row = 0
-        for u in gf2.vertices_of(g.adj[v - 1]):
-            row |= 1 << (perm[u - 1] - 1)
-        adj[perm[v - 1] - 1] = row
-    return Graph(g.n, tuple(adj))
 
 
 def _orders_with_least_first_row(nbrs: list[list[int]]) -> Iterator[tuple[int, ...]]:

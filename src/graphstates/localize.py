@@ -26,7 +26,7 @@ class DecodingTie(ValueError):
 class LocalizationCode:
     """Schmidt-basis strings on A, indexed by their crossing labels."""
 
-    part: Bipartition
+    groups: PartitionGroups  # the A|B split the codewords are read from
     qubits_a: tuple[int, ...]
     codewords: tuple[tuple[int, int], ...]  # (label, word on |A| bits)
     distance: int
@@ -47,14 +47,13 @@ class LocalizationReport:
 def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
     """Codewords of the A-side Schmidt strings, with their Hamming distance.
 
-    Requires every A-side Schmidt vector to be a single X-basis string;
-    a single codeword gets the sentinel distance |A| + 1.
+    Requires every A-side Schmidt vector to be a single X-basis string.
+    The words are x_Gamma + A xi restricted to A, an affine code, so the
+    least pairwise distance is the least weight of a nonzero difference
+    A xi, one Gray walk over the crossing labels; a single codeword gets
+    the sentinel distance |A| + 1.
     """
-    return _code(g, partition_groups(g, part))
-
-
-def _code(g: Graph, pg: PartitionGroups) -> LocalizationCode:
-    part = pg.part
+    pg = partition_groups(g, part)
     for name, basis in (("inside-A subgroup", pg.k_aa), ("detached-A subgroup", pg.k_simb)):
         if basis.dim:
             raise ValueError(
@@ -66,17 +65,11 @@ def _code(g: Graph, pg: PartitionGroups) -> LocalizationCode:
     for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
         word = gf2.restrict(pg.xdata.x_gamma ^ correlation_index(g, xi), pos_a)
         words.append((xi, word))
-    if len({w for _, w in words}) != len(words):
+    diffs = [gf2.restrict(correlation_index(g, r), pos_a) for r in pg.k_harpoon.rows]
+    distance = min((v.bit_count() for _, v in gf2.gray_walk(diffs)), default=len(pos_a) + 1)
+    if distance == 0:
         raise AssertionError("codewords are not pairwise distinct")
-    if len(words) == 1:
-        distance = len(pos_a) + 1  # sentinel: no codeword pair exists
-    else:
-        distance = min(
-            (w1 ^ w2).bit_count()
-            for i, (_, w1) in enumerate(words)
-            for _, w2 in words[i + 1:]
-        )
-    return LocalizationCode(part, gf2.vertices_of(part.a), tuple(words), distance)
+    return LocalizationCode(pg, gf2.vertices_of(part.a), tuple(words), distance)
 
 
 def decode(code: LocalizationCode, observed: int) -> tuple[int, int, int]:
@@ -111,13 +104,12 @@ def simulate(
     """
     if error_positions & ~part.a:
         raise ValueError("error positions must lie inside part A")
-    pg = partition_groups(g, part)
-    code = _code(g, pg)
+    code = extract_code(g, part)
     rng = random.Random(seed)
     ideal_label, ideal_word = code.codewords[rng.randrange(len(code.codewords))]
     noisy = ideal_word ^ gf2.restrict(error_positions, part.a_positions())
     decoded_label, corrected, flips = decode(code, noisy)
-    _, _, bob = schmidt_vectors(g, pg, decoded_label)
+    _, _, bob = schmidt_vectors(g, code.groups, decoded_label)
     return LocalizationReport(
         ideal_label=ideal_label,
         ideal_word=ideal_word,

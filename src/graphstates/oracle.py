@@ -12,11 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from . import gf2
 from .bias import DyadicReal
 from .graphs import Bipartition, Graph
-from .stab import PauliStabilizer, correlation_index, stabilizer_parity
-from .xchains import XBasisExpansion
 
 MAX_DENSE_N = 14
 
@@ -28,9 +25,6 @@ class DenseState:
     n: int
     amps: list[int]
     scale: int
-
-    def norm_squared_is_unit(self) -> bool:
-        return sum(a * a for a in self.amps) == 1 << self.scale
 
     def reduced(self) -> "DenseState":
         """Canonical form: divide out common factors of 2 against the scale.
@@ -78,23 +72,6 @@ def dense_to_x(s: DenseState) -> DenseState:
                 amps[j], amps[j + h] = x + y, x - y
         h *= 2
     return DenseState(s.n, amps, s.scale + s.n)
-
-
-def apply_pauli(s: DenseState, p: PauliStabilizer) -> DenseState:
-    """Apply phase * X^(x) * Z^(z) to a Z-basis dense state."""
-    if p.width != s.n:
-        raise ValueError("width mismatch")
-    out = [0] * len(s.amps)
-    for i, a in enumerate(s.amps):
-        src = i ^ p.x_set
-        sign = -1 if (p.z_set & src).bit_count() & 1 else 1
-        out[i] = p.phase * sign * s.amps[src]
-    return DenseState(s.n, out, s.scale)
-
-
-def check_stabilizer(s: DenseState, p: PauliStabilizer) -> bool:
-    """True iff applying p reproduces the state exactly."""
-    return apply_pauli(s, p).amps == s.amps
 
 
 def state_overlap(s: DenseState, t: DenseState) -> DyadicReal:
@@ -199,29 +176,6 @@ def brute_xchains(g: Graph) -> set[int]:
     return {mask for mask, c in enumerate(corr) if c == 0}
 
 
-def parity_sum_sign(g: Graph, rows: list[int]) -> int:
-    """Sign (-1, 0 or +1) of the sum of stabilizer parities over span(rows).
-
-    The reference for the global sign: walks all 2^len(rows) members in
-    Gray order, updating the parity with the cut-parity product rule
-    instead of recounting edges.
-    """
-    if g.n > 20:
-        raise ValueError("reference sign sum is capped at n <= 20")
-    row_parity = [stabilizer_parity(g, r) for r in rows]
-    row_corr = [correlation_index(g, r) for r in rows]
-    cur = 0
-    parity = 1
-    total = 1
-    for t in range(1, 1 << len(rows)):
-        i = (t & -t).bit_length() - 1
-        flip = gf2.dot(cur, row_corr[i])
-        parity *= row_parity[i] * (-1 if flip else 1)
-        cur ^= rows[i]
-        total += parity
-    return (total > 0) - (total < 0)
-
-
 def born_distribution(s: DenseState) -> dict[int, Fraction]:
     """Exact Born distribution of a dense state, nonzero outcomes only."""
     denom = 1 << s.scale
@@ -233,14 +187,3 @@ def x_distribution(g: Graph) -> dict[int, Fraction]:
     """Exact Born distribution of full X-measurements, nonzero outcomes only."""
     return born_distribution(dense_to_x(dense_state_z(g)))
 
-
-def dense_from_expansion(e: XBasisExpansion) -> DenseState:
-    """Z-basis dense state of an X-basis expansion on qubits 1..n."""
-    n = len(e.qubits)
-    if tuple(e.qubits) != tuple(range(1, n + 1)):
-        raise ValueError("expansion must cover qubits 1..n in order")
-    _check_size(n)
-    amps = [0] * (1 << n)
-    for mask, sign in e.terms.items():
-        amps[mask] = sign
-    return dense_to_x(DenseState(n, amps, e.half_log_norm)).reduced()

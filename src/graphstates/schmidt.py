@@ -16,6 +16,7 @@ from .gf2 import Basis
 from .graphs import Bipartition, Graph
 from .stab import correlation_index, stabilizer_parity
 from .xchains import (
+    EXPANSION_LIMIT,
     XBasisExpansion,
     XChainData,
     correlation_state,
@@ -132,13 +133,21 @@ class SchmidtDecomposition:
 def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
     """Exact Schmidt decomposition of the graph state along a bipartition.
 
-    The number of crossing labels is checked against the cut rank.
+    The number of crossing labels is checked against the cut rank, and the
+    2^k (2^dim a_group + 2^dim k_b) factor terms are counted before any is
+    built.
     """
     pg = partition_groups(g, part)
-    _, k, _ = schmidt_rank(g, part)
+    k = schmidt_rank(g, part)
     if pg.k_harpoon.dim != k:
         raise AssertionError(
             f"rank bookkeeping mismatch: quotient {pg.k_harpoon.dim} vs cut rank {k}"
+        )
+    if (1 << k) * ((1 << pg.a_group.dim) + (1 << pg.k_b.dim)) > 1 << EXPANSION_LIMIT:
+        raise ValueError(
+            f"Schmidt decomposition with cut rank k={k} has 2^{k} * "
+            f"(2^{pg.a_group.dim} + 2^{pg.k_b.dim}) factor terms; "
+            f"capped at 2^{EXPANSION_LIMIT}"
         )
     terms = []
     for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
@@ -149,13 +158,12 @@ def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
     )
 
 
-def schmidt_rank(g: Graph, part: Bipartition) -> tuple[int, int, int]:
-    """Schmidt rank 2^k, its log, and the geometric entanglement measure k.
+def schmidt_rank(g: Graph, part: Bipartition) -> int:
+    """Log k of the Schmidt rank 2^k, also the geometric entanglement measure.
 
     k is the GF(2) rank of the adjacency block A[A, B], the cut rank of
     the bipartition (Hein, Eisert & Briegel, PRA 69, 062311 (2004)).
     """
     if part.n != g.n:
         raise ValueError("bipartition size does not match the graph")
-    k = gf2.rank([g.adj[p] & part.b for p in part.a_positions()], g.n)
-    return 1 << k, k, k
+    return gf2.rref([g.adj[p] & part.b for p in part.a_positions()], g.n).dim

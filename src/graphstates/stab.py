@@ -90,18 +90,3 @@ def cut_parity(g: Graph, a: int, b: int) -> int:
     """
     return gf2.dot(a, correlation_index(g, b))
 
-
-def multiply(g: Graph, s1: PauliStabilizer, s2: PauliStabilizer) -> PauliStabilizer:
-    """Operator product of two stabilizers, renormalized to X-then-Z form.
-
-    Moving Z^(z1) across X^(x2) contributes (-1) per shared vertex.
-    """
-    if s1.width != s2.width:
-        raise ValueError("width mismatch")
-    sign = -1 if gf2.dot(s1.z_set, s2.x_set) else 1
-    return PauliStabilizer(
-        s1.width,
-        s1.phase * s2.phase * sign,
-        s1.x_set ^ s2.x_set,
-        s1.z_set ^ s2.z_set,
-    )

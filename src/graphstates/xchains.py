@@ -17,15 +17,15 @@ from .gf2 import Basis
 from .graphs import Graph
 from .stab import correlation_index, stabilizer_parity
 
-EXPANSION_LIMIT = 20  # largest dim K for which the 2^|K| expansion terms are built
+EXPANSION_LIMIT = 20  # log2 of the most expansion terms built for one output
 
 
 @dataclass(frozen=True)
 class XChainData:
     """Canonical factorization of the subset group by the X-chain group.
 
-    gamma      -- canonical basis of the X-chain group
-    exclusive  -- one vertex per generator (its pivot), owned by no other
+    gamma      -- canonical basis of the X-chain group; each generator's
+                  pivot is its exclusive vertex, owned by no other
     kappa      -- the remaining vertices; their singletons generate the
                   correlation-group representatives
     x_gamma    -- fundamental X-basis string: pivots of the negative-parity
@@ -36,7 +36,6 @@ class XChainData:
     """
 
     gamma: Basis
-    exclusive: tuple[int, ...]
     kappa: tuple[int, ...]
     x_gamma: int
 
@@ -78,11 +77,6 @@ def xchain_group(g: Graph) -> Basis:
     return gf2.kernel(g.adj, g.n)
 
 
-def is_xchain(g: Graph, xi: int) -> bool:
-    """True iff every vertex has an even number of neighbors inside xi."""
-    return correlation_index(g, xi) == 0
-
-
 def factorize(g: Graph) -> XChainData:
     """Extract the canonical X-chain factorization of a graph.
 
@@ -92,14 +86,13 @@ def factorize(g: Graph) -> XChainData:
     generators with an odd induced edge count.
     """
     gamma = xchain_group(g)
-    exclusive = tuple(p + 1 for p in gamma.pivots)
     pivot_set = set(gamma.pivots)
     kappa = tuple(v + 1 for v in range(g.n) if v not in pivot_set)
     x_gamma = 0
     for p, row in zip(gamma.pivots, gamma.rows):
         if stabilizer_parity(g, row) == -1:
             x_gamma |= 1 << p
-    return XChainData(gamma, exclusive, kappa, x_gamma)
+    return XChainData(gamma, kappa, x_gamma)
 
 
 def global_sign(g: Graph, xd: XChainData) -> int:
@@ -132,13 +125,14 @@ def global_sign(g: Graph, xd: XChainData) -> int:
     return -1 if arf else 1
 
 
-def xchain_state(g: Graph, xd: XChainData, xi: int) -> tuple[int, int]:
-    """Sign and X-basis string of the xi-labelled product-state term."""
-    return stabilizer_parity(g, xi), xd.x_gamma ^ correlation_index(g, xi)
-
-
 def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpansion:
-    """Uniform superposition of the product-state terms over xi + span(k)."""
+    """Uniform superposition of the product-state terms over xi + span(k).
+
+    The only builder of expansion terms, so it refuses more than
+    2^EXPANSION_LIMIT of them before building any.
+    """
+    if k.dim > EXPANSION_LIMIT:
+        raise ValueError(f"expansion has 2^{k.dim} terms; capped at 2^{EXPANSION_LIMIT}")
     parity = stabilizer_parity(g, xi)
     corr = correlation_index(g, xi)
     terms = {xd.x_gamma ^ corr: parity}
@@ -168,10 +162,6 @@ def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
     """
     if xd is None:
         xd = factorize(g)
-    if len(xd.kappa) > EXPANSION_LIMIT:
-        raise ValueError(
-            f"expansion has 2^{len(xd.kappa)} terms; capped at 2^{EXPANSION_LIMIT}"
-        )
     rows = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
     e = correlation_state(g, xd, rows, 0)
     if global_sign(g, xd) < 0:

@@ -1,0 +1,136 @@
+"""Reference helpers that only the tests use.
+
+Slow or roundabout on purpose: each one checks a library result by a
+different route (dense Pauli action, brute-force relabeling, a 2^|K|
+sign sum) or builds test input (bit strings, edge-list text).
+"""
+
+from __future__ import annotations
+
+from graphstates import gf2
+from graphstates.bias import bias_degree
+from graphstates.graphs import Graph
+from graphstates.oracle import DenseState, _check_size, dense_to_x
+from graphstates.stab import PauliStabilizer, correlation_index, stabilizer_parity
+from graphstates.xchains import XBasisExpansion
+
+
+def string_to_mask(bits: str) -> int:
+    m = 0
+    for j, ch in enumerate(bits):
+        if ch == "1":
+            m |= 1 << j
+        elif ch != "0":
+            raise ValueError(f"invalid bit character {ch!r}")
+    return m
+
+
+def scatter(mask: int, positions: list[int]) -> int:
+    """Inverse of restrict: place bit k of mask at position positions[k]."""
+    out = 0
+    for k, p in enumerate(positions):
+        if (mask >> k) & 1:
+            out |= 1 << p
+    return out
+
+
+def emit_edge_list(g: Graph) -> str:
+    lines = [str(g.n)]
+    lines += [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def apply_permutation(g: Graph, perm: tuple[int, ...]) -> Graph:
+    """Relabel vertices: perm[v-1] is the new label of old vertex v."""
+    adj = [0] * g.n
+    for v in range(1, g.n + 1):
+        row = 0
+        for u in gf2.vertices_of(g.adj[v - 1]):
+            row |= 1 << (perm[u - 1] - 1)
+        adj[perm[v - 1] - 1] = row
+    return Graph(g.n, tuple(adj))
+
+
+def multiply(g: Graph, s1: PauliStabilizer, s2: PauliStabilizer) -> PauliStabilizer:
+    """Operator product of two stabilizers, renormalized to X-then-Z form.
+
+    Moving Z^(z1) across X^(x2) contributes (-1) per shared vertex.
+    """
+    if s1.width != s2.width:
+        raise ValueError("width mismatch")
+    sign = -1 if gf2.dot(s1.z_set, s2.x_set) else 1
+    return PauliStabilizer(
+        s1.width,
+        s1.phase * s2.phase * sign,
+        s1.x_set ^ s2.x_set,
+        s1.z_set ^ s2.z_set,
+    )
+
+
+def negative_weight(g: Graph) -> int:
+    """Number of negative Z-basis amplitudes: 2^(n-1) * (1 - bias)."""
+    beta = bias_degree(g)
+    if beta.sign == 0:
+        return 1 << (g.n - 1)
+    if beta.half_log % 2 != 0:
+        raise AssertionError("bias exponent must be even for a graph state")
+    shift = g.n - 1 - beta.half_log // 2
+    if shift < 0:
+        raise AssertionError("bias magnitude exceeds the amplitude budget")
+    return (1 << (g.n - 1)) - beta.sign * (1 << shift)
+
+
+def norm_squared_is_unit(s: DenseState) -> bool:
+    return sum(a * a for a in s.amps) == 1 << s.scale
+
+
+def apply_pauli(s: DenseState, p: PauliStabilizer) -> DenseState:
+    """Apply phase * X^(x) * Z^(z) to a Z-basis dense state."""
+    if p.width != s.n:
+        raise ValueError("width mismatch")
+    out = [0] * len(s.amps)
+    for i, a in enumerate(s.amps):
+        src = i ^ p.x_set
+        sign = -1 if (p.z_set & src).bit_count() & 1 else 1
+        out[i] = p.phase * sign * s.amps[src]
+    return DenseState(s.n, out, s.scale)
+
+
+def check_stabilizer(s: DenseState, p: PauliStabilizer) -> bool:
+    """True iff applying p reproduces the state exactly."""
+    return apply_pauli(s, p).amps == s.amps
+
+
+def parity_sum_sign(g: Graph, rows: list[int]) -> int:
+    """Sign (-1, 0 or +1) of the sum of stabilizer parities over span(rows).
+
+    The reference for the global sign: walks all 2^len(rows) members in
+    Gray order, updating the parity with the cut-parity product rule
+    instead of recounting edges.
+    """
+    if g.n > 20:
+        raise ValueError("reference sign sum is capped at n <= 20")
+    row_parity = [stabilizer_parity(g, r) for r in rows]
+    row_corr = [correlation_index(g, r) for r in rows]
+    cur = 0
+    parity = 1
+    total = 1
+    for t in range(1, 1 << len(rows)):
+        i = (t & -t).bit_length() - 1
+        flip = gf2.dot(cur, row_corr[i])
+        parity *= row_parity[i] * (-1 if flip else 1)
+        cur ^= rows[i]
+        total += parity
+    return (total > 0) - (total < 0)
+
+
+def dense_from_expansion(e: XBasisExpansion) -> DenseState:
+    """Z-basis dense state of an X-basis expansion on qubits 1..n."""
+    n = len(e.qubits)
+    if tuple(e.qubits) != tuple(range(1, n + 1)):
+        raise ValueError("expansion must cover qubits 1..n in order")
+    _check_size(n)
+    amps = [0] * (1 << n)
+    for mask, sign in e.terms.items():
+        amps[mask] = sign
+    return dense_to_x(DenseState(n, amps, e.half_log_norm)).reduced()

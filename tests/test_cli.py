@@ -11,8 +11,9 @@ import pytest
 import graphstates
 
 from graphstates.cli import load_graph, run
-from graphstates.gf2 import mask_of, rref, string_to_mask
-from graphstates.graphs import emit_graph6, named
+from graphstates.gf2 import mask_of, rref
+from graphstates.graphs import emit_graph6, from_edges, named
+from reference import string_to_mask
 
 
 def run_json(capsys, argv):
@@ -126,6 +127,33 @@ def test_schmidt_past_the_old_width_cap(capsys):
     assert code == 0
     assert report["k"] == 2
     assert report["rank"] == len(report["terms"]) == 4
+
+
+_MATCHING_32 = "g6:" + emit_graph6(from_edges(32, [(i, i + 16) for i in range(1, 17)]))
+
+
+@pytest.mark.parametrize(
+    "graph, part_a, k",
+    [
+        ("path:32", "1,2", 1),  # dim k_b = 30
+        (_MATCHING_32, ",".join(map(str, range(1, 17))), 16),  # dim k_b = 16
+    ],
+    ids=["path32", "matching32"],
+)
+def test_schmidt_factor_terms_refused_before_any_is_built(monkeypatch, capsys, graph, part_a, k):
+    import graphstates.schmidt as schmidt
+    import graphstates.xchains as xchains
+
+    def never(*args):
+        raise RuntimeError("a Schmidt factor was expanded")
+
+    monkeypatch.setattr(schmidt, "correlation_state", never)
+    monkeypatch.setattr(xchains, "correlation_state", never)
+    assert run(["schmidt", "--graph", graph, "--part-a", part_a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: Schmidt decomposition with cut rank k={k} ")
 
 
 def test_verify_command_ok(capsys):

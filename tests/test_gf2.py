@@ -4,16 +4,14 @@ import random
 
 import pytest
 
+from reference import scatter, string_to_mask
 from graphstates import gf2
 from graphstates.gf2 import (
-    Basis,
     complement_basis,
     contains,
     iter_span,
     kernel,
-    rank,
     rref,
-    string_to_mask,
 )
 
 
@@ -91,7 +89,7 @@ def test_kernel_and_rank_invariants():
     for _ in range(1000):
         w = rng.randrange(1, 17)
         rows = [rng.getrandbits(w) for _ in range(rng.randrange(17))]
-        r = rank(rows, w)
+        r = rref(rows, w).dim
         k = kernel(rows, w)
         assert r + k.dim == w
         for v in k.rows:
@@ -139,7 +137,7 @@ def test_restrict_scatter_roundtrip():
         w = rng.randrange(1, 12)
         positions = sorted(rng.sample(range(w), rng.randrange(1, w + 1)))
         sub = rng.getrandbits(len(positions))
-        assert gf2.restrict(gf2.scatter(sub, positions), positions) == sub
+        assert gf2.restrict(scatter(sub, positions), positions) == sub
 
 
 def test_mask_to_string_matches_bitwise_definition():

@@ -6,11 +6,10 @@ from itertools import permutations
 import pytest
 
 from helpers import all_graphs, random_graph
+from reference import apply_permutation, emit_edge_list
 from graphstates.graphs import (
     Graph,
-    apply_permutation,
     canonical_form,
-    emit_edge_list,
     emit_graph6,
     from_edges,
     graph_symmetric_difference,

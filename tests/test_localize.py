@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import all_graphs, random_graph
-from graphstates.gf2 import contains, mask_of, string_to_mask
-from graphstates.graphs import Bipartition, named
+from reference import apply_pauli, string_to_mask
+from graphstates.gf2 import contains, mask_of
+from graphstates.graphs import Bipartition, from_edges, named
 from graphstates.localize import DecodingTie, decode, extract_code, simulate
 from graphstates.oracle import (
-    apply_pauli,
     dense_state_z,
     dense_to_x,
     x_distribution,
@@ -44,6 +44,39 @@ def test_extract_code_single_codeword_sentinel():
     code = extract_code(g, part)
     assert len(code.codewords) == 1
     assert code.distance == 4  # |A| + 1 sentinel, no codeword pair exists
+
+
+def _pairwise_distance(code):
+    words = [w for _, w in code.codewords]
+    return min(
+        ((w1 ^ w2).bit_count() for i, w1 in enumerate(words) for w2 in words[i + 1:]),
+        default=len(code.qubits_a) + 1,
+    )
+
+
+def test_distance_equals_the_pairwise_minimum():
+    # every graph with n <= 5 and every cut, then seeded graphs with n = 6..12
+    rng = random.Random(74)
+    cases = [(g, a) for n in range(2, 6) for g in all_graphs(n) for a in range(1, (1 << n) - 1)]
+    for n in range(6, 13):
+        cases += [(random_graph(rng, n), rng.randrange(1, (1 << n) - 1)) for _ in range(60)]
+    checked = 0
+    for g, a in cases:
+        try:
+            code = extract_code(g, Bipartition(g.n, a, ((1 << g.n) - 1) & ~a))
+        except ValueError:
+            continue
+        assert code.distance == _pairwise_distance(code)
+        checked += 1
+    assert checked > 1000
+
+
+def test_distance_of_the_16_edge_matching():
+    # 2^16 codewords: every word on A occurs, so the distance is 1
+    g = from_edges(32, [(i, i + 16) for i in range(1, 17)])
+    code = extract_code(g, Bipartition.from_a(32, range(1, 17)))
+    assert len(code.codewords) == 1 << 16
+    assert code.distance == 1
 
 
 def test_extract_code_rejects_superposed_vectors():
@@ -118,6 +151,21 @@ def test_decoded_label_matches_schmidt_vector():
         rep = simulate(g, part, mask_of([2]), seed)
         _, _, vec_b = schmidt_vectors(g, pg, rep.decoded_label)
         assert rep.bob_state == vec_b
+
+
+def test_simulate_builds_the_partition_groups_once(monkeypatch):
+    import graphstates.localize as localize
+
+    calls = []
+
+    def counted(g, part):
+        calls.append(part)
+        return partition_groups(g, part)
+
+    monkeypatch.setattr(localize, "partition_groups", counted)
+    g, part = bistar_code()
+    simulate(g, part, mask_of([2]), 0)
+    assert calls == [part]
 
 
 def _codes_up_to(n_max, rng, per_n=40):

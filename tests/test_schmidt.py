@@ -5,9 +5,10 @@ import random
 import pytest
 
 from helpers import all_graphs, gnp_graph, random_graph, random_bipartition_mask
+from reference import scatter, string_to_mask
 from graphstates import gf2
 from graphstates.bias import DyadicReal
-from graphstates.gf2 import iter_span, mask_of, rref, string_to_mask
+from graphstates.gf2 import iter_span, mask_of, rref
 from graphstates.graphs import Bipartition, named
 from graphstates.oracle import dense_schmidt_rank, dense_state_z, dense_to_x
 from graphstates.schmidt import (
@@ -168,11 +169,11 @@ def test_schmidt_decomposition_product_state():
 
 def test_schmidt_rank_examples():
     g = named("house")
-    assert schmidt_rank(g, part_of(g, [1, 2, 3])) == (2, 1, 1)
+    assert schmidt_rank(g, part_of(g, [1, 2, 3])) == 1
     e = named("empty:5")
-    assert schmidt_rank(e, part_of(e, [2, 4])) == (1, 0, 0)
+    assert schmidt_rank(e, part_of(e, [2, 4])) == 0
     b = named("bistar")
-    assert schmidt_rank(b, part_of(b, [1, 2, 3])) == (2, 1, 1)
+    assert schmidt_rank(b, part_of(b, [1, 2, 3])) == 1
 
 
 def _inner(e1, e2):
@@ -217,7 +218,7 @@ def _check_reconstruction(g, part):
         scale = dec.coeff.half_log + t.vec_a.half_log_norm + t.vec_b.half_log_norm
         for ma, sa in t.vec_a.terms.items():
             for mb, sb in t.vec_b.terms.items():
-                mask = gf2.scatter(ma, pos_a) | gf2.scatter(mb, pos_b)
+                mask = scatter(ma, pos_a) | scatter(mb, pos_b)
                 assert mask not in full
                 full[mask] = dec.alpha * t.sign * sa * sb
     e = x_representation(g)
@@ -259,10 +260,8 @@ def test_rank_matches_dense_oracle():
         g = random_graph(rng, n)
         a = random_bipartition_mask(rng, n)
         part = Bipartition(n, a, ((1 << n) - 1) & ~a)
-        rank, k, measure = schmidt_rank(g, part)
-        assert rank == 1 << k
-        assert measure == k
-        assert rank == dense_schmidt_rank(g, part)
+        k = schmidt_rank(g, part)
+        assert 1 << k == dense_schmidt_rank(g, part)
 
 
 def test_cut_rank_equals_crossing_subgroup_dim_to_n32():
@@ -275,14 +274,14 @@ def test_cut_rank_equals_crossing_subgroup_dim_to_n32():
         a = random_bipartition_mask(rng, n)
         b = ((1 << n) - 1) & ~a
         for part in (Bipartition(n, a, b), Bipartition(n, b, a)):
-            assert schmidt_rank(g, part)[1] == partition_groups(g, part).k_harpoon.dim
+            assert schmidt_rank(g, part) == partition_groups(g, part).k_harpoon.dim
 
 
 def test_decomposition_rejects_a_rank_mismatch(monkeypatch):
     import graphstates.schmidt as schmidt
 
     g = named("house")
-    monkeypatch.setattr(schmidt, "schmidt_rank", lambda g, part: (4, 2, 2))
+    monkeypatch.setattr(schmidt, "schmidt_rank", lambda g, part: 2)
     with pytest.raises(AssertionError, match="rank bookkeeping mismatch"):
         schmidt.schmidt_decomposition(g, part_of(g, [1, 2, 3]))
 

@@ -6,16 +6,16 @@ from itertools import product
 import pytest
 
 from helpers import all_graphs, random_graph
-from graphstates.gf2 import mask_of, string_to_mask
+from reference import check_stabilizer, multiply, string_to_mask
+from graphstates.gf2 import mask_of
 from graphstates.graphs import named
-from graphstates.oracle import check_stabilizer, dense_state_z
+from graphstates.oracle import dense_state_z
 from graphstates.stab import (
     PauliStabilizer,
     correlation_index,
     cut_parity,
     generator,
     induced_stabilizer,
-    multiply,
     stabilizer_parity,
 )
 

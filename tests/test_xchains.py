@@ -6,30 +6,25 @@ from fractions import Fraction
 import pytest
 
 from helpers import all_graphs, gnp_graph, random_graph
+from reference import check_stabilizer, dense_from_expansion, parity_sum_sign, string_to_mask
 from graphstates import gf2
-from graphstates.gf2 import iter_span, mask_of, rref, string_to_mask
+from graphstates.gf2 import iter_span, mask_of, rref
 from graphstates.graphs import from_edges, named
 from graphstates.oracle import (
     brute_xchains,
-    check_stabilizer,
-    dense_from_expansion,
     dense_state_z,
     dense_to_x,
-    parity_sum_sign,
-    x_distribution,
 )
-from graphstates.stab import induced_stabilizer, stabilizer_parity
+from graphstates.stab import correlation_index, induced_stabilizer, stabilizer_parity
 from graphstates.xchains import (
     XChainData,
     correlation_state,
     distinguishing_outcomes,
     factorize,
     global_sign,
-    is_xchain,
     measurement_support,
     x_representation,
     xchain_group,
-    xchain_state,
 )
 
 
@@ -50,9 +45,10 @@ def test_xchain_group_table_fixtures():
 
 
 def test_is_xchain_examples():
-    assert is_xchain(named("star:3"), mask_of([2, 3]))
-    assert is_xchain(named("star:3"), 0)
-    assert not is_xchain(named("star:3"), mask_of([2]))
+    # an X-chain has an empty correlation index
+    assert correlation_index(named("star:3"), mask_of([2, 3])) == 0
+    assert correlation_index(named("star:3"), 0) == 0
+    assert correlation_index(named("star:3"), mask_of([2])) != 0
 
 
 def test_factorize_k4minus1():
@@ -69,7 +65,7 @@ def test_factorize_empty3():
     g = named("empty:3")
     xd = factorize(g)
     assert span_set(xd.gamma) == set(range(8))
-    assert xd.exclusive == (1, 2, 3)
+    assert tuple(p + 1 for p in xd.gamma.pivots) == (1, 2, 3)
     assert xd.kappa == ()
     assert xd.x_gamma == 0
     assert global_sign(g, xd) == 1
@@ -108,10 +104,11 @@ def test_factorize_structural_invariants():
     for _ in range(200):
         g = random_graph(rng, rng.randrange(1, 11))
         xd = factorize(g)
-        assert len(set(xd.exclusive)) == len(xd.exclusive)
+        exclusive = tuple(p + 1 for p in xd.gamma.pivots)
+        assert len(set(exclusive)) == len(exclusive)
         assert xd.gamma.dim + len(xd.kappa) == g.n
-        assert set(xd.exclusive) | set(xd.kappa) == set(range(1, g.n + 1))
-        for v, row in zip(xd.exclusive, xd.gamma.rows):
+        assert set(exclusive) | set(xd.kappa) == set(range(1, g.n + 1))
+        for v, row in zip(exclusive, xd.gamma.rows):
             assert (row >> (v - 1)) & 1
             for other in xd.gamma.rows:
                 assert other == row or not (other >> (v - 1)) & 1
@@ -120,9 +117,12 @@ def test_factorize_structural_invariants():
 def test_xchain_state_examples():
     g = named("k4minus1")
     xd = factorize(g)
-    assert xchain_state(g, xd, mask_of([2, 3])) == (-1, string_to_mask("1111"))
-    assert xchain_state(g, xd, 0) == (1, xd.x_gamma)
-    assert xchain_state(g, xd, mask_of([3])) == (1, string_to_mask("0101"))
+    def xchain_state(xi):
+        return stabilizer_parity(g, xi), xd.x_gamma ^ correlation_index(g, xi)
+
+    assert xchain_state(mask_of([2, 3])) == (-1, string_to_mask("1111"))
+    assert xchain_state(0) == (1, xd.x_gamma)
+    assert xchain_state(mask_of([3])) == (1, string_to_mask("0101"))
 
 
 def test_correlation_state_examples():
@@ -262,14 +262,14 @@ def test_free_block_of_adjacency_is_nonsingular():
                 g = gnp_graph(rng, n, p)
                 free = [v - 1 for v in factorize(g).kappa]
                 block = [gf2.restrict(g.adj[v], free) for v in free]
-                assert gf2.rank(block, len(free)) == len(free)
+                assert gf2.rref(block, len(free)).dim == len(free)
                 assert len(free) % 2 == 0
 
 
 def test_global_sign_rejects_a_singular_form():
     # a free set that is not one is a broken invariant, not bad input
     g = named("empty:2")
-    xd = XChainData(xchain_group(g), (), (1, 2), 0)
+    xd = XChainData(xchain_group(g), (1, 2), 0)
     with pytest.raises(AssertionError):
         global_sign(g, xd)
 
@@ -372,7 +372,7 @@ def test_generator_choice_independence():
             if stabilizer_parity(g, row) == -1:
                 x_alt |= 1 << p
         kappa_alt = tuple(v + 1 for v in range(g.n) if v not in pivots)
-        xd_alt = XChainData(rref(rows, g.n), tuple(p + 1 for p in pivots), kappa_alt, x_alt)
+        xd_alt = XChainData(rref(rows, g.n), kappa_alt, x_alt)
         alt = correlation_state(g, xd_alt, rref([1 << (v - 1) for v in kappa_alt], g.n), 0)
         total = sum(alt.terms.values())
         assert total != 0
