@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,13 @@ def _cmd_verify(args, g):
     return report, lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    It is shared by every call of `run` and never mutated after it is
+    built: `parse_args` returns a fresh Namespace and writes nothing back.
+    """
     parser = argparse.ArgumentParser(
         prog="graphstates",
         description="Exact X-basis analysis of graph states.",

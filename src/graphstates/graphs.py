@@ -115,11 +115,22 @@ _FIXED_GRAPHS = {
 }
 
 
+# family -> (fewest vertices it is defined on, its edge list on n vertices)
+_FAMILIES = {
+    "empty": (1, lambda n: []),
+    "star": (2, lambda n: [(1, v) for v in range(2, n + 1)]),
+    "path": (1, lambda n: [(v, v + 1) for v in range(1, n)]),
+    "cycle": (3, lambda n: [(v, v + 1) for v in range(1, n)] + [(n, 1)]),
+    "complete": (1, lambda n: combinations(range(1, n + 1), 2)),
+}
+
+
 def named(spec: str) -> Graph:
     """Construct one of the named graph families, e.g. 'star:4' or 'house'.
 
     Families: star:n (center 1), cycle:n, complete:n, path:n, empty:n,
-    and the fixed graphs k4minus1, house, bistar.
+    and the fixed graphs k4minus1, house, bistar. The vertex count is
+    checked before any edge list is built.
     """
     if spec in _FIXED_GRAPHS:
         n, edges = _FIXED_GRAPHS[spec]
@@ -131,21 +142,14 @@ def named(spec: str) -> Graph:
         n = int(arg)
     except ValueError:
         raise ValueError(f"bad vertex count in {spec!r}") from None
-    if family == "empty":
-        return from_edges(n, [])
-    if family == "star":
-        if n < 2:
-            raise ValueError("star graphs need at least 2 vertices")
-        return from_edges(n, [(1, v) for v in range(2, n + 1)])
-    if family == "path":
-        return from_edges(n, [(v, v + 1) for v in range(1, n)])
-    if family == "cycle":
-        if n < 3:
-            raise ValueError("cycle graphs need at least 3 vertices")
-        return from_edges(n, [(v, v + 1) for v in range(1, n)] + [(n, 1)])
-    if family == "complete":
-        return from_edges(n, list(combinations(range(1, n + 1), 2)))
-    raise ValueError(f"unknown graph family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}")
+    least, edges = _FAMILIES[family]
+    if least > 1 and n < least:
+        raise ValueError(f"{family} graphs need at least {least} vertices")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} out of range 1..{MAX_VERTICES}")
+    return from_edges(n, edges(n))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import graphstates
 
+from graphstates import cli
 from graphstates.cli import load_graph, run
 from graphstates.gf2 import mask_of, rref
 from graphstates.graphs import emit_graph6, from_edges, named
@@ -235,6 +237,52 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+_REUSE_SEQUENCE = [
+    ["bias"],
+    ["localize", "--graph", "house", "--part-a", "1", "--seed", "5"],
+    ["localize", "--graph", "house", "--part-a", "1"],
+    ["verify", "--max-n", "3"],
+    ["bias", "--graph", "cycle:3"],
+]
+
+
+def _outcomes(capsys, sequence):
+    outcomes = []
+    for argv in sequence:
+        try:
+            code = ("returned", run(argv))
+        except SystemExit as exc:
+            code = ("raised SystemExit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_shared_parser_runs_like_a_fresh_one(monkeypatch, capsys):
+    shared = _outcomes(capsys, _REUSE_SEQUENCE)
+    assert shared[0][0] == ("raised SystemExit", 2)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outcomes(capsys, _REUSE_SEQUENCE) == shared
+
+
+def test_run_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(["bias", "--graph", "cycle:3"]) == 0
+    assert built  # the first call builds the parser through the spy
+    built.clear()
+    for _ in range(19):
+        assert run(["bias", "--graph", "cycle:3"]) == 0
+    assert built == []
 
 
 def test_text_output_default(capsys):

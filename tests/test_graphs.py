@@ -7,7 +7,9 @@ import pytest
 
 from helpers import all_graphs, random_graph
 from reference import apply_permutation, emit_edge_list
+from graphstates import graphs
 from graphstates.graphs import (
+    MAX_VERTICES,
     Graph,
     canonical_form,
     emit_graph6,
@@ -63,6 +65,19 @@ def test_named_rejects_unknown():
     for bad in ("frob", "star:x", "cycle:2", "star:1", "triangle:3"):
         with pytest.raises(ValueError):
             named(bad)
+
+
+@pytest.mark.parametrize("family", ["complete", "path", "star", "cycle"])
+def test_named_checks_vertex_count_before_building_edges(monkeypatch, family):
+    def never(*args):
+        raise AssertionError("edge list built for an out-of-range vertex count")
+
+    monkeypatch.setattr(graphs, "combinations", never)
+    monkeypatch.setattr(graphs, "from_edges", never)
+    n = MAX_VERTICES + 1
+    with pytest.raises(ValueError) as exc:
+        named(f"{family}:{n}")
+    assert str(exc.value) == f"vertex count {n} out of range 1..{MAX_VERTICES}"
 
 
 def test_symmetric_difference_examples():
