@@ -20,7 +20,7 @@ def load_graph(spec: str) -> Graph:
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 return parse_edge_list(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read graph file {spec[1:]!r}: {exc}") from exc
     if spec.startswith("g6:"):
         return parse_graph6(spec[3:])

@@ -190,10 +190,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"bad vertex count line {lines[0]!r}") from None
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {line!r}") from None
+        edges.append((u, v))
     return from_edges(n, edges)
 
 

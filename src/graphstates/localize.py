@@ -48,10 +48,10 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
     """Codewords of the A-side Schmidt strings, with their Hamming distance.
 
     Requires every A-side Schmidt vector to be a single X-basis string.
-    The words are x_Gamma + A xi restricted to A, an affine code, so the
-    least pairwise distance is the least weight of a nonzero difference
-    A xi, one Gray walk over the crossing labels; a single codeword gets
-    the sentinel distance |A| + 1.
+    The words are x_Gamma + A xi restricted to A, an affine code, so one
+    Gray walk over the crossing labels gives every word and the least
+    pairwise distance, the least weight of a nonzero difference A xi; a
+    single codeword gets the sentinel distance |A| + 1.
     """
     pg = partition_groups(g, part)
     for name, basis in (("inside-A subgroup", pg.k_aa), ("detached-A subgroup", pg.k_simb)):
@@ -61,12 +61,15 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
                 f"({[gf2.vertices_of(r) for r in basis.rows]})"
             )
     pos_a = part.a_positions()
-    words = []
-    for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
-        word = gf2.restrict(pg.xdata.x_gamma ^ correlation_index(g, xi), pos_a)
-        words.append((xi, word))
-    diffs = [gf2.restrict(correlation_index(g, r), pos_a) for r in pg.k_harpoon.rows]
-    distance = min((v.bit_count() for _, v in gf2.gray_walk(diffs)), default=len(pos_a) + 1)
+    rows = pg.k_harpoon.rows
+    diffs = [gf2.restrict(correlation_index(g, r), pos_a) for r in rows]
+    base = gf2.restrict(pg.xdata.x_gamma, pos_a)
+    words, label, distance = [(0, base)], 0, len(pos_a) + 1
+    for i, diff in gf2.gray_walk(diffs):
+        label ^= rows[i]
+        words.append((label, base ^ diff))
+        distance = min(distance, diff.bit_count())
+    words.sort()
     if distance == 0:
         raise AssertionError("codewords are not pairwise distinct")
     return LocalizationCode(pg, gf2.vertices_of(part.a), tuple(words), distance)

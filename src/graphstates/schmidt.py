@@ -73,38 +73,57 @@ def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
     return PartitionGroups(part, w, k_b, k_aa, a_group, k_simb, k_harpoon, xd)
 
 
-def schmidt_vectors(
-    g: Graph, pg: PartitionGroups, xi: int
-) -> tuple[int, XBasisExpansion, XBasisExpansion]:
-    """Sign and the two separable factors of the xi-labelled Schmidt term."""
-    if not gf2.contains(pg.k_harpoon, xi):
-        raise ValueError("label lies outside the crossing-correlation span")
-    sign = stabilizer_parity(g, xi)
-    full_a = correlation_state(g, pg.xdata, pg.a_group, xi)
-    full_b = correlation_state(g, pg.xdata, pg.k_b, xi)
-    pos_a = pg.part.a_positions()
-    pos_b = pg.part.b_positions()
-    vec_a = XBasisExpansion(
-        gf2.vertices_of(pg.part.a),
-        pg.a_group.dim,
-        {gf2.restrict(m, pos_a): s for m, s in full_a.terms.items()},
-    )
-    vec_b = XBasisExpansion(
-        gf2.vertices_of(pg.part.b),
-        pg.k_b.dim,
-        {gf2.restrict(m, pos_b): s for m, s in full_b.terms.items()},
-    )
-    if len(vec_a.terms) != len(full_a.terms) or len(vec_b.terms) != len(full_b.terms):
-        raise AssertionError("restriction collapsed distinct factor terms")
-    return sign, vec_a, vec_b
-
-
 @dataclass(frozen=True)
 class SchmidtTerm:
     label: int
     sign: int
     vec_a: XBasisExpansion
     vec_b: XBasisExpansion
+
+
+def _schmidt_terms(g: Graph, pg: PartitionGroups, labels: list[int]) -> list[SchmidtTerm]:
+    """The Schmidt terms at the given labels, from one expansion per side.
+
+    Each factor subgroup is expanded at label 0 and restricted to its side
+    once; both checks depend only on {A v}, so they hold at every label.
+    Label xi shifts each term by the restriction of A xi, and its sign is
+    parity(xi + v) = parity(xi) parity(v) (-1)^(xi . A v).
+    """
+    sides = []
+    for side, basis in ((pg.part.a, pg.a_group), (pg.part.b, pg.k_b)):
+        qubits = gf2.vertices_of(side)
+        positions = [v - 1 for v in qubits]
+        full = correlation_state(g, pg.xdata, basis, 0)
+        table = [
+            (gf2.restrict(m, positions), s, m ^ pg.xdata.x_gamma)
+            for m, s in full.terms.items()
+        ]
+        if len({r for r, _, _ in table}) != len(table):
+            raise AssertionError("restriction collapsed distinct factor terms")
+        sides.append((qubits, basis.dim, positions, table))
+    out = []
+    for xi in labels:
+        sign, corr = stabilizer_parity(g, xi), correlation_index(g, xi)
+        vecs = []
+        for qubits, dim, positions, table in sides:
+            shift = gf2.restrict(corr, positions)
+            terms = {
+                r ^ shift: -sign * s if (xi & av).bit_count() & 1 else sign * s
+                for r, s, av in table
+            }
+            vecs.append(XBasisExpansion(qubits, dim, terms))
+        out.append(SchmidtTerm(xi, sign, *vecs))
+    return out
+
+
+def schmidt_vectors(
+    g: Graph, pg: PartitionGroups, xi: int
+) -> tuple[int, XBasisExpansion, XBasisExpansion]:
+    """Sign and the two separable factors of the xi-labelled Schmidt term."""
+    if not gf2.contains(pg.k_harpoon, xi):
+        raise ValueError("label lies outside the crossing-correlation span")
+    [t] = _schmidt_terms(g, pg, [xi])
+    return t.sign, t.vec_a, t.vec_b
 
 
 @dataclass(frozen=True)
@@ -149,10 +168,7 @@ def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
             f"(2^{pg.a_group.dim} + 2^{pg.k_b.dim}) factor terms; "
             f"capped at 2^{EXPANSION_LIMIT}"
         )
-    terms = []
-    for xi in sorted(gf2.iter_span(pg.k_harpoon.rows)):
-        sign, vec_a, vec_b = schmidt_vectors(g, pg, xi)
-        terms.append(SchmidtTerm(xi, sign, vec_a, vec_b))
+    terms = _schmidt_terms(g, pg, sorted(gf2.iter_span(pg.k_harpoon.rows)))
     return SchmidtDecomposition(
         part, DyadicReal(1, pg.k_harpoon.dim), tuple(terms), global_sign(g, pg.xdata)
     )

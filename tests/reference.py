@@ -2,7 +2,8 @@
 
 Slow or roundabout on purpose: each one checks a library result by a
 different route (dense Pauli action, brute-force relabeling, a 2^|K|
-sign sum) or builds test input (bit strings, edge-list text).
+sign sum, Schmidt factors built label by label, the graph's stabilizers
+applied term by term) or builds test input (bit strings, edge-list text).
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 from graphstates import gf2
 from graphstates.bias import bias_degree
 from graphstates.graphs import Graph
+from graphstates.schmidt import PartitionGroups
 from graphstates.oracle import DenseState, _check_size, dense_to_x
 from graphstates.stab import PauliStabilizer, correlation_index, stabilizer_parity
-from graphstates.xchains import XBasisExpansion
+from graphstates.xchains import XBasisExpansion, correlation_state
 
 
 def string_to_mask(bits: str) -> int:
@@ -134,3 +136,50 @@ def dense_from_expansion(e: XBasisExpansion) -> DenseState:
     for mask, sign in e.terms.items():
         amps[mask] = sign
     return dense_to_x(DenseState(n, amps, e.half_log_norm)).reduced()
+
+
+def per_label_schmidt_vectors(
+    g: Graph, pg: PartitionGroups, xi: int
+) -> tuple[int, XBasisExpansion, XBasisExpansion]:
+    """Sign and both factors of the xi-labelled Schmidt term, built at xi.
+
+    Expands both factor subgroups at the label itself and restricts every
+    term bit by bit, instead of translating one label-0 expansion.
+    """
+    if not gf2.contains(pg.k_harpoon, xi):
+        raise ValueError("label lies outside the crossing-correlation span")
+    sign = stabilizer_parity(g, xi)
+    full_a = correlation_state(g, pg.xdata, pg.a_group, xi)
+    full_b = correlation_state(g, pg.xdata, pg.k_b, xi)
+    pos_a = pg.part.a_positions()
+    pos_b = pg.part.b_positions()
+    vec_a = XBasisExpansion(
+        gf2.vertices_of(pg.part.a),
+        pg.a_group.dim,
+        {gf2.restrict(m, pos_a): s for m, s in full_a.terms.items()},
+    )
+    vec_b = XBasisExpansion(
+        gf2.vertices_of(pg.part.b),
+        pg.k_b.dim,
+        {gf2.restrict(m, pos_b): s for m, s in full_b.terms.items()},
+    )
+    if len(vec_a.terms) != len(full_a.terms) or len(vec_b.terms) != len(full_b.terms):
+        raise AssertionError("restriction collapsed distinct factor terms")
+    return sign, vec_a, vec_b
+
+
+def is_stabilized(g: Graph, e: XBasisExpansion) -> bool:
+    """True iff every generator K_v of g fixes the expansion, with no dense vector.
+
+    K_v = X_v Z_N(v) maps the X-basis term |m> to (-1)^(m_v) |m + N(v)>, so
+    the expansion is fixed iff terms[m ^ adj[v]] = (-1)^(m_v) terms[m] for
+    every term m and vertex v.  The term count must also be the
+    2^half_log_norm of a normalized state.  The global sign is invisible.
+    """
+    if tuple(e.qubits) != tuple(range(1, g.n + 1)) or len(e.terms) != 1 << e.half_log_norm:
+        return False
+    return all(
+        e.terms.get(m ^ g.adj[v]) == (-s if (m >> v) & 1 else s)
+        for m, s in e.terms.items()
+        for v in range(g.n)
+    )

@@ -36,6 +36,25 @@ def test_load_graph_variants(tmp_path):
         load_graph("nosuchgraph")
 
 
+def test_non_integer_edge_line_names_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("3\n1 x\n")
+    assert run(["bias", "--graph", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad edge line '1 x'\n"
+
+
+def test_undecodable_graph_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "binary.edges"
+    path.write_bytes(b"3\n1 2\xff\n")
+    assert run(["bias", "--graph", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read graph file {str(path)!r}: 'utf-8' codec")
+
+
 def test_xchains_star4(capsys):
     code, report = run_json(capsys, ["xchains", "--graph", "star:4"])
     assert code == 0

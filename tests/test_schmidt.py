@@ -5,11 +5,11 @@ import random
 import pytest
 
 from helpers import all_graphs, gnp_graph, random_graph, random_bipartition_mask
-from reference import scatter, string_to_mask
+from reference import is_stabilized, per_label_schmidt_vectors, scatter, string_to_mask
 from graphstates import gf2
 from graphstates.bias import DyadicReal
 from graphstates.gf2 import iter_span, mask_of, rref
-from graphstates.graphs import Bipartition, named
+from graphstates.graphs import Bipartition, Graph, named
 from graphstates.oracle import dense_schmidt_rank, dense_state_z, dense_to_x
 from graphstates.schmidt import (
     partition_groups,
@@ -18,7 +18,13 @@ from graphstates.schmidt import (
     schmidt_vectors,
 )
 from graphstates.stab import correlation_index, cut_parity
-from graphstates.xchains import x_representation, xchain_group
+from graphstates.xchains import (
+    XBasisExpansion,
+    correlation_state,
+    factorize,
+    x_representation,
+    xchain_group,
+)
 
 
 def part_of(g, a_vertices):
@@ -297,3 +303,126 @@ def test_nonempty_detached_subgroup_is_detected_and_harmless():
     assert pg.k_simb.rows == (mask_of([3]),)
     _check_orthonormal(g, part)
     _check_reconstruction(g, part)
+
+
+def test_translated_factors_match_per_label_construction_exhaustive_n5():
+    # every label's factors against the per-label construction, which
+    # expands both subgroups at the label itself
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            for a in range(1, (1 << n) - 1):
+                pg = partition_groups(g, Bipartition(n, a, ((1 << n) - 1) & ~a))
+                for xi in iter_span(pg.k_harpoon.rows):
+                    assert schmidt_vectors(g, pg, xi) == per_label_schmidt_vectors(g, pg, xi)
+
+
+def test_translated_factors_match_per_label_construction_to_n32():
+    # seeded sparse G(n, p) cuts whose 2^k (2^dim a_group + 2^dim k_b)
+    # factor terms stay under 2^12, four per n; the decomposition too
+    rng = random.Random(67)
+    for n in range(6, 33):
+        kept = 0
+        while kept < 4:
+            g = gnp_graph(rng, n, rng.choice([1, 1.5, 2, 3]) / n)
+            a = mask_of(rng.sample(range(1, n + 1), rng.randrange(1, n)))
+            part = Bipartition(n, a, ((1 << n) - 1) & ~a)
+            pg = partition_groups(g, part)
+            if (1 << pg.k_harpoon.dim) * ((1 << pg.a_group.dim) + (1 << pg.k_b.dim)) >= 1 << 12:
+                continue
+            dec = schmidt_decomposition(g, part)
+            assert [t.label for t in dec.terms] == sorted(iter_span(pg.k_harpoon.rows))
+            for t in dec.terms:
+                expected = per_label_schmidt_vectors(g, pg, t.label)
+                assert schmidt_vectors(g, pg, t.label) == expected
+                assert (t.sign, t.vec_a, t.vec_b) == expected
+            kept += 1
+
+
+@pytest.mark.parametrize("graph, part_a", [
+    ("house", [1, 2, 3]),  # k = 1
+    ("cycle:6", [1, 2, 3]),  # k = 2
+    ("cycle:12", [1, 3, 5, 7, 9, 11]),  # k = 5
+    ("empty:4", [1, 2]),  # k = 0
+])
+def test_decomposition_expands_each_factor_subgroup_once(monkeypatch, graph, part_a):
+    import graphstates.schmidt as schmidt
+
+    calls = []
+
+    def counted(g, xd, k, xi):
+        calls.append(xi)
+        return correlation_state(g, xd, k, xi)
+
+    g = named(graph)
+    monkeypatch.setattr(schmidt, "correlation_state", counted)
+    dec = schmidt.schmidt_decomposition(g, part_of(g, part_a))
+    assert calls == [0, 0]
+    assert dec.rank == 1 << schmidt_rank(g, part_of(g, part_a))
+
+
+def _low_rank_graph(rng, n, core):
+    # G(core, 1/2) on the first vertices, then every further vertex is
+    # isolated or a false twin of a core vertex, so |K| <= core; relabeled
+    base = gnp_graph(rng, core, 0.5)
+    nbrs = [set(gf2.vertices_of(base.adj[v])) for v in range(core)]
+    for v in range(core, n):
+        if rng.random() < 0.8:
+            twin = rng.randrange(core)
+            nbrs.append(set(nbrs[twin]))
+            for u in nbrs[twin]:
+                nbrs[u - 1].add(v + 1)
+        else:
+            nbrs.append(set())
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    adj = [0] * n
+    for v in range(n):
+        adj[perm[v] - 1] = mask_of(perm[u - 1] for u in nbrs[v])
+    return Graph(n, tuple(adj))
+
+
+def _reconstructed_terms(dec):
+    pos_a = dec.part.a_positions()
+    pos_b = dec.part.b_positions()
+    full = {}
+    for t in dec.terms:
+        side_b = [(scatter(mb, pos_b), sb) for mb, sb in t.vec_b.terms.items()]
+        for ma, sa in t.vec_a.terms.items():
+            wa = scatter(ma, pos_a)
+            for wb, sb in side_b:
+                assert wa | wb not in full
+                full[wa | wb] = dec.alpha * t.sign * sa * sb
+    return full
+
+
+def test_reconstruction_is_stabilized_past_the_dense_oracle():
+    # n = 11..32 with |K| <= 12: the reconstruction equals x_representation
+    # and every stabilizer generator fixes it, each cut in both orientations
+    rng = random.Random(68)
+    for n in range(11, 33):
+        g = _low_rank_graph(rng, n, rng.randrange(4, 13))
+        assert len(factorize(g).kappa) <= 12
+        e = x_representation(g)
+        assert is_stabilized(g, e)
+        a = random_bipartition_mask(rng, n)
+        b = ((1 << n) - 1) & ~a
+        for part in (Bipartition(n, a, b), Bipartition(n, b, a)):
+            dec = schmidt_decomposition(g, part)
+            recon = XBasisExpansion(e.qubits, e.half_log_norm, _reconstructed_terms(dec))
+            t = dec.terms[0]
+            assert dec.k + t.vec_a.half_log_norm + t.vec_b.half_log_norm == e.half_log_norm
+            assert recon.terms == e.terms
+            assert is_stabilized(g, recon)
+
+
+def test_is_stabilized_catches_a_flipped_sign():
+    rng = random.Random(69)
+    for n in range(3, 20):
+        g = _low_rank_graph(rng, n, 3)
+        e = x_representation(g)
+        assert is_stabilized(g, e)
+        if len(e.terms) > 1:
+            m = rng.choice(sorted(e.terms))
+            bad = XBasisExpansion(e.qubits, e.half_log_norm, dict(e.terms))
+            bad.terms[m] = -bad.terms[m]
+            assert not is_stabilized(g, bad)
