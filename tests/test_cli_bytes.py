@@ -36,6 +36,7 @@ COMMANDS = (
         ["localize", "--graph", "star:5", "--part-a", "2,3,4,5", "--errors", "2", "--seed", "3"],
         ["localize", "--graph", "path:5", "--part-a", "1,3,5", "--seed", "1"],
         ["balanced", "--max-n", "4"],
+        ["balanced", "--max-n", "5"],
         ["verify", "--max-n", "6", "--samples", "3"],
     ]
 )
@@ -119,6 +120,8 @@ DIGESTS = {
     ('localize --graph path:5 --part-a 1,3,5 --seed 1', 'json'): 'bb7dc496338a68abc0c6fb3bcc86319a8ce411d200f8a4304e352f31b2f1bff3',
     ('balanced --max-n 4', 'text'): '940e08c95b9cb9bb7c4bcbf727045b278748cdbe540abad4704dc749e6131680',
     ('balanced --max-n 4', 'json'): '3eee3390c04532ad6b7da0032d0ea3bfd09cef3b05dcca196c9d854dd2099b46',
+    ('balanced --max-n 5', 'text'): 'be6340f71153691c228aef7461dd54a48e47aa0ec359b7f278c53703a2084acb',
+    ('balanced --max-n 5', 'json'): '15707eef516d2806994776f4d37542700a4983b2dead8be30d95d30b9803567f',
     ('verify --max-n 6 --samples 3', 'text'): '760f07b82b9a572c325b9e38889c77895fa065af6fa2703525280f9060dd17bb',
     ('verify --max-n 6 --samples 3', 'json'): '7bf9e95207282da484c47d9f53ca3407d7bd2aadca9331eb9d8305328fe7e722',
 }
