@@ -8,12 +8,13 @@ exact equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
-from .graphs import Graph, all_graphs, canonical_form, graph_symmetric_difference
+from .graphs import Graph, all_graphs, graph_symmetric_difference
 from .stab import induced_edge_count, stabilizer_parity
 from .xchains import factorize, global_sign
 
-MAX_BALANCED_N = 5  # the catalog brute-forces canonical forms over all labeled graphs
+MAX_BALANCED_N = 5  # the catalog walks all labeled graphs and all n! relabelings
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,29 @@ class BalancedClass:
 def enumerate_balanced(n: int) -> list[BalancedClass]:
     """All isomorphism classes of balanced graphs on n vertices.
 
-    Exhausts all 2^C(n,2) labeled graphs and deduplicates via the
-    brute-force canonical form, so n is capped at 5.  Each class carries
+    Walks all 2^C(n,2) labeled graphs, so n is capped at 5.  The first
+    balanced graph of a class adds its orbit, the n! relabeled adjacency
+    tuples, to `seen`, so later members of the class are skipped; the
+    least tuple of the orbit represents the class.  Each class carries
     an X-chain whose induced subgraph has an odd edge count.
     """
     if n > MAX_BALANCED_N:
         raise ValueError(f"balanced catalog enumeration is capped at n <= {MAX_BALANCED_N}")
-    seen = {}
+    seen = set()
+    classes = []
     for g in all_graphs(n):
-        if not is_balanced(g):
+        if g.adj in seen or not is_balanced(g):
             continue
-        canon, _ = canonical_form(g)
-        if canon.adj in seen:
-            continue
+        # order[i] is the vertex that takes position i
+        orbit = {
+            tuple(sum(1 << i for i, u in enumerate(order) if g.adj[v] >> u & 1) for v in order)
+            for order in permutations(range(n))
+        }
+        seen |= orbit
+        canon = Graph(n, min(orbit))
         witness = next(
             row for row in factorize(canon).gamma.rows
             if stabilizer_parity(canon, row) == -1
         )
-        seen[canon.adj] = BalancedClass(canon, witness, induced_edge_count(canon, witness))
-    return sorted(seen.values(), key=lambda c: (c.graph.edge_count(), c.graph.adj))
-
+        classes.append(BalancedClass(canon, witness, induced_edge_count(canon, witness)))
+    return sorted(classes, key=lambda c: (c.graph.edge_count(), c.graph.adj))

@@ -264,6 +264,13 @@ def _cmd_verify(args, g):
     return report, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so `run` prints one `error:` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process.
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     It is shared by every call of `run` and never mutated after it is
     built: `parse_args` returns a fresh Namespace and writes nothing back.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphstates",
         description="Exact X-basis analysis of graph states.",
     )
@@ -332,8 +339,8 @@ def run(argv=None) -> int:
     Exit codes: 0 done, 1 when the report says "ok": false, 2 bad input,
     3 a broken internal invariant.
     """
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         g = load_graph(args.graph) if "graph" in args else None
         report, lines = args.handler(args, g)
         report["command"] = args.command

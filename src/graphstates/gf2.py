@@ -135,19 +135,13 @@ def complement_basis(sub: Basis, sup: Basis) -> Basis:
     for row in sub.rows:
         if not contains(sup, row):
             raise ValueError("sub is not contained in sup")
-    elim = {p: row for p, row in zip(sub.pivots, sub.rows)}
+    elim = dict(zip(sub.pivots, sub.rows))  # lowest bit -> vector
     taken = []
     for row in sup.rows:
         v = row
-        changed = True
-        while changed:
-            changed = False
-            for p, b in elim.items():
-                if (v >> p) & 1:
-                    v ^= b
-                    changed = True
+        while v and (low := (v & -v).bit_length() - 1) in elim:
+            v ^= elim[low]
         if v:
-            low = (v & -v).bit_length() - 1
             elim[low] = v
             taken.append(row)
     return Basis(sup.width, tuple(taken), tuple((r & -r).bit_length() - 1 for r in taken))

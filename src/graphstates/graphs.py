@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
 
 from . import gf2
@@ -251,53 +251,3 @@ def emit_graph6(g: Graph) -> str:
             val = (val << 1) | b
         out.append(chr(63 + val))
     return "".join(out)
-
-
-def _orders_with_least_first_row(nbrs: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Vertex orders (order[i] gets label i + 1) that can give the least first row.
-
-    The least first row is 2 + 4 + ... + 2^d for the least degree d, so
-    vertex 1 has degree d and its neighbors take labels 2..d+1.
-    """
-    n = len(nbrs)
-    low = min(map(len, nbrs))
-    for first in range(n):
-        if len(nbrs[first]) == low:
-            rest = [u for u in range(n) if u != first and u not in nbrs[first]]
-            for head in permutations(nbrs[first]):
-                for tail in permutations(rest):
-                    yield (first, *head, *tail)
-
-
-def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Lexicographically minimal relabeling, with the witnessing permutation.
-
-    Brute force over the relabelings that can give the least first row,
-    comparing adjacency tuples row by row and stopping at the first row
-    that differs from the best so far; only the winner becomes a Graph.
-    Among relabelings that tie, the permutation is the least, the first
-    in permutations() order.  Rejected for n > 8.
-    """
-    if g.n > 8:
-        raise ValueError("canonical_form is brute force and limited to n <= 8")
-    n = g.n
-    nbrs = [[u - 1 for u in gf2.vertices_of(row)] for row in g.adj]
-    best = g.adj
-    ties = []  # every order that relabels g to best
-    for order in _orders_with_least_first_row(nbrs):
-        bit = [0] * n
-        for i, v in enumerate(order):
-            bit[v] = 1 << i
-        image = bit.__getitem__
-        for i, v in enumerate(order):
-            row = sum(map(image, nbrs[v]))
-            if row != best[i]:
-                break
-        else:
-            ties.append(order)
-            continue
-        if row < best[i]:
-            best = tuple(sum(map(image, nbrs[v])) for v in order)
-            ties = [order]
-    perm = min(tuple(order.index(v) + 1 for v in range(n)) for order in ties)
-    return Graph(n, best), perm

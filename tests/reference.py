@@ -8,6 +8,8 @@ applied term by term) or builds test input (bit strings, edge-list text).
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from graphstates import gf2
 from graphstates.bias import bias_degree
 from graphstates.graphs import Graph
@@ -51,6 +53,12 @@ def apply_permutation(g: Graph, perm: tuple[int, ...]) -> Graph:
             row |= 1 << (perm[u - 1] - 1)
         adj[perm[v - 1] - 1] = row
     return Graph(g.n, tuple(adj))
+
+
+def brute_canonical_form(g: Graph) -> Graph:
+    """The relabeling of g with the least adjacency tuple, over all n! permutations."""
+    relabelings = (apply_permutation(g, p) for p in permutations(range(1, g.n + 1)))
+    return min(relabelings, key=lambda h: h.adj)
 
 
 def multiply(g: Graph, s1: PauliStabilizer, s2: PauliStabilizer) -> PauliStabilizer:

@@ -8,7 +8,13 @@ import random
 import time
 
 from helpers import all_graphs, random_graph
-from reference import check_stabilizer, dense_from_expansion, multiply, string_to_mask
+from reference import (
+    brute_canonical_form,
+    check_stabilizer,
+    dense_from_expansion,
+    multiply,
+    string_to_mask,
+)
 from graphstates.bias import DyadicReal, enumerate_balanced
 from graphstates.cli import run_verification
 from graphstates.gf2 import (
@@ -17,7 +23,7 @@ from graphstates.gf2 import (
     mask_of,
     rref,
 )
-from graphstates.graphs import Bipartition, canonical_form, from_edges, named
+from graphstates.graphs import Bipartition, from_edges, named
 from graphstates.localize import decode, extract_code
 from graphstates.oracle import (
     dense_overlap,
@@ -195,8 +201,8 @@ def test_criterion_6_oracle_equivalence_sweep():
 def test_criterion_7_balanced_catalog():
     start = time.perf_counter()
     got3 = enumerate_balanced(3)
-    assert [c.graph for c in got3] == [canonical_form(named("cycle:3"))[0]]
-    canon_c5 = canonical_form(named("cycle:5"))[0]
+    assert [c.graph for c in got3] == [brute_canonical_form(named("cycle:3"))]
+    canon_c5 = brute_canonical_form(named("cycle:5"))
     seen_c5 = False
     for n in range(1, 6):
         for entry in enumerate_balanced(n):

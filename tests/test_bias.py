@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from helpers import all_graphs, random_graph
-from reference import negative_weight
+from reference import brute_canonical_form, negative_weight
 from graphstates.bias import (
     DyadicReal,
     bias_degree,
@@ -16,13 +16,12 @@ from graphstates.bias import (
     overlap,
 )
 from graphstates.graphs import (
-    canonical_form,
     from_edges,
     graph_symmetric_difference,
     named,
 )
 from graphstates.oracle import dense_overlap, dense_state_z
-from graphstates.stab import correlation_index, stabilizer_parity
+from graphstates.stab import correlation_index, induced_edge_count, stabilizer_parity
 
 
 def test_dyadic_real_is_canonical():
@@ -121,7 +120,7 @@ def test_is_balanced_examples():
 def test_is_balanced_isomorphism_invariant():
     for n in range(1, 6):
         for g in all_graphs(n):
-            assert is_balanced(g) == is_balanced(canonical_form(g)[0])
+            assert is_balanced(g) == is_balanced(brute_canonical_form(g))
 
 
 def test_negative_weight_examples():
@@ -142,13 +141,13 @@ def test_enumerate_balanced_small():
     assert enumerate_balanced(2) == []
     got = enumerate_balanced(3)
     assert len(got) == 1
-    assert got[0].graph == canonical_form(named("cycle:3"))[0]
+    assert got[0].graph == brute_canonical_form(named("cycle:3"))
     assert got[0].witness_edge_count % 2 == 1
 
 
 def test_enumerate_balanced_catalog_n5():
     catalog = enumerate_balanced(5)
-    canon_c5 = canonical_form(named("cycle:5"))[0].adj
+    canon_c5 = brute_canonical_form(named("cycle:5")).adj
     assert any(entry.graph.adj == canon_c5 for entry in catalog)
     for entry in catalog:
         g = entry.graph
@@ -160,6 +159,25 @@ def test_enumerate_balanced_catalog_n5():
     assert len({e.graph.adj for e in catalog}) == len(catalog)
     with pytest.raises(ValueError):
         enumerate_balanced(6)
+
+
+def test_enumerate_balanced_matches_brute_force_catalog():
+    # one class per brute-force canonical form of a labeled graph whose
+    # dense overlap with the all-plus state is zero, in the catalog's order
+    for n in range(1, 6):
+        plus = named(f"empty:{n}")
+        reps = {
+            brute_canonical_form(g)
+            for g in all_graphs(n)
+            if dense_overlap(g, plus) == DyadicReal.zero()
+        }
+        catalog = enumerate_balanced(n)
+        assert [c.graph for c in catalog] == sorted(reps, key=lambda h: (h.edge_count(), h.adj))
+        for c in catalog:
+            assert c.witness and correlation_index(c.graph, c.witness) == 0
+            assert stabilizer_parity(c.graph, c.witness) == -1
+            assert c.witness_edge_count == induced_edge_count(c.graph, c.witness)
+            assert c.witness_edge_count % 2 == 1
 
 
 def test_orthogonal_partner_examples():

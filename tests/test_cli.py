@@ -250,12 +250,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(["schmidt", "--graph", "house", "--part-a", "1,1,2"]) == 2
     assert run(["schmidt", "--graph", "house", "--part-a", "1,9"]) == 2
     assert run(["localize", "--graph", "house", "--part-a", "1,2,3"]) == 2
+    capsys.readouterr()
+    for argv in (["bias"], [], ["nosuchcommand"], ["bias", "--graph", "cycle:3", "--bogus"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:
-        run(["nosuchcommand"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run([])
-    assert exc.value.code == 2
+        run(["bias", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphstates bias")
 
 
 _REUSE_SEQUENCE = [
@@ -281,7 +286,9 @@ def _outcomes(capsys, sequence):
 
 def test_shared_parser_runs_like_a_fresh_one(monkeypatch, capsys):
     shared = _outcomes(capsys, _REUSE_SEQUENCE)
-    assert shared[0][0] == ("raised SystemExit", 2)
+    code, out, err = shared[0]
+    assert (code, out) == (("returned", 2), "")
+    assert err == "error: the following arguments are required: --graph\n"
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert _outcomes(capsys, _REUSE_SEQUENCE) == shared
 

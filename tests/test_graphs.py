@@ -1,17 +1,15 @@
-"""Graph constructors, serialization, and canonicalization."""
+"""Graph constructors and serialization."""
 
 import random
-from itertools import permutations
 
 import pytest
 
 from helpers import all_graphs, random_graph
-from reference import apply_permutation, emit_edge_list
+from reference import emit_edge_list
 from graphstates import graphs
 from graphstates.graphs import (
     MAX_VERTICES,
     Graph,
-    canonical_form,
     emit_graph6,
     from_edges,
     graph_symmetric_difference,
@@ -136,55 +134,6 @@ def test_edge_list_roundtrip():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("2\n1 2 3")
-
-
-def test_canonical_form_isomorphic_stars():
-    center1 = from_edges(3, [(1, 2), (1, 3)])
-    center2 = from_edges(3, [(2, 1), (2, 3)])
-    assert canonical_form(center1)[0] == canonical_form(center2)[0]
-
-
-def test_canonical_form_distinguishes():
-    assert canonical_form(named("cycle:3"))[0] != canonical_form(named("path:3"))[0]
-
-
-def test_canonical_form_house_relabelings():
-    rng = random.Random(9)
-    house = named("house")
-    canon, _ = canonical_form(house)
-    for _ in range(20):
-        perm = list(range(1, 6))
-        rng.shuffle(perm)
-        relabeled = apply_permutation(house, tuple(perm))
-        assert canonical_form(relabeled)[0] == canon
-
-
-def test_canonical_form_certificate():
-    rng = random.Random(10)
-    for _ in range(50):
-        g = random_graph(rng, rng.randrange(1, 7))
-        canon, perm = canonical_form(g)
-        assert apply_permutation(g, perm) == canon
-    with pytest.raises(ValueError):
-        canonical_form(named("empty:9"))
-
-
-def _brute_canonical_form(g):
-    best, best_perm = None, None
-    for p in permutations(range(1, g.n + 1)):
-        cand = apply_permutation(g, p)
-        if best is None or cand.adj < best.adj:
-            best, best_perm = cand, p
-    return best, best_perm
-
-
-def test_canonical_form_matches_apply_permutation_brute_force():
-    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
-    rng = random.Random(11)
-    graphs += [random_graph(rng, n) for n, count in ((5, 30), (6, 8), (7, 3)) for _ in range(count)]
-    graphs += [named("cycle:6"), named("complete:5"), named("empty:6"), named("star:7")]
-    for g in graphs:
-        assert canonical_form(g) == _brute_canonical_form(g)
 
 
 def test_constructors_keep_adjacency_invariants():
