@@ -275,10 +275,7 @@ _REUSE_SEQUENCE = [
 def _outcomes(capsys, sequence):
     outcomes = []
     for argv in sequence:
-        try:
-            code = ("returned", run(argv))
-        except SystemExit as exc:
-            code = ("raised SystemExit", exc.code)
+        code = run(argv)
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
     return outcomes
@@ -287,7 +284,7 @@ def _outcomes(capsys, sequence):
 def test_shared_parser_runs_like_a_fresh_one(monkeypatch, capsys):
     shared = _outcomes(capsys, _REUSE_SEQUENCE)
     code, out, err = shared[0]
-    assert (code, out) == (("returned", 2), "")
+    assert (code, out) == (2, "")
     assert err == "error: the following arguments are required: --graph\n"
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert _outcomes(capsys, _REUSE_SEQUENCE) == shared
