@@ -44,8 +44,44 @@ def _parse_vertices(text: str, n: int, what: str) -> list[int]:
     return out
 
 
+class _Terms:
+    """An expansion's sorted (mask, sign) terms, printed as {"bits", "sign"} records."""
+
+    __slots__ = ("items", "width")
+
+    def __init__(self, e: xchains.XBasisExpansion):
+        self.items = sorted(e.terms.items())
+        self.width = len(e.qubits)
+
+
+def _render(x, pad: str = "\n") -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) prints it, its lines indented by pad.
+
+    Dicts and lists are laid out here and every other leaf goes to
+    json.dumps, except two shapes written one f-string per item: _Terms,
+    and a tuple, which is an edge list of int pairs.
+    """
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_render(x[k], inner)}" for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(x, _Terms):
+        top, leaf = 1 << x.width, inner + "  "
+        items = [
+            f'{{{leaf}"bits": "{bin(m | top)[:2:-1]}",{leaf}"sign": {s}{inner}}}'
+            for m, s in x.items
+        ]
+    elif isinstance(x, tuple):
+        items = [f"[{inner}  {u},{inner}  {v}{inner}]" for u, v in x]
+    elif isinstance(x, list):
+        items = [_render(v, inner) for v in x]
+    else:
+        return json.dumps(x)
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+
+
 def _graph_echo(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
+    return {"n": g.n, "edges": g.edges()}
 
 
 def _dyadic_echo(d: DyadicReal) -> dict:
@@ -56,14 +92,7 @@ _bits = gf2.mask_to_string
 
 
 def _expansion_echo(e: xchains.XBasisExpansion) -> dict:
-    return {
-        "qubits": list(e.qubits),
-        "half_log_norm": e.half_log_norm,
-        "terms": [
-            {"bits": _bits(mask, len(e.qubits)), "sign": sign}
-            for mask, sign in sorted(e.terms.items())
-        ],
-    }
+    return {"qubits": list(e.qubits), "half_log_norm": e.half_log_norm, "terms": _Terms(e)}
 
 
 def _set(mask: int) -> str:
@@ -74,17 +103,31 @@ def _graph_line(g: Graph) -> str:
     return f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())
 
 
+def _parities(g: Graph, xd: xchains.XChainData) -> list[int]:
+    return [stabilizer_parity(g, row) for row in xd.gamma.rows]
+
+
+def _generator_lines(g: Graph, xd: xchains.XChainData, parities, indent: str, exclusive: str):
+    """One text line per X-chain group generator; `exclusive` names its exclusive vertex."""
+    for p, row, parity in zip(xd.gamma.pivots, xd.gamma.rows, parities):
+        yield (
+            f"{indent}{_set(row):<14} bits {_bits(row, g.n)}"
+            f"  parity {parity:+d}  {exclusive} {p + 1}"
+        )
+
+
 def _cmd_xchains(args, g):
     xd = xchains.factorize(g)
     alpha = xchains.global_sign(g, xd)
+    parities = _parities(g, xd)
     gens = [
         {
             "vertices": list(gf2.vertices_of(row)),
             "bits": _bits(row, g.n),
-            "parity": stabilizer_parity(g, row),
+            "parity": parity,
             "exclusive": p + 1,
         }
-        for p, row in zip(xd.gamma.pivots, xd.gamma.rows)
+        for p, row, parity in zip(xd.gamma.pivots, xd.gamma.rows, parities)
     ]
     report = {
         "generators": gens,
@@ -96,11 +139,7 @@ def _cmd_xchains(args, g):
     def lines():
         yield _graph_line(g)
         yield f"X-chain group: dim {xd.gamma.dim}"
-        for gen, row in zip(gens, xd.gamma.rows):
-            yield (
-                f"  {_set(row):<14} bits {gen['bits']}  parity {gen['parity']:+d}"
-                f"  exclusive vertex {gen['exclusive']}"
-            )
+        yield from _generator_lines(g, xd, parities, "  ", "exclusive vertex")
         yield "free vertices K: " + (",".join(map(str, xd.kappa)) or "(none)")
         yield f"fundamental string x_Gamma = {report['x_gamma']}"
         yield f"global sign alpha = {alpha:+d}"
@@ -122,11 +161,7 @@ def _cmd_represent(args, g):
         yield _graph_line(g)
         yield "P(V) = <Gamma> x <K>"
         yield f"  Gamma (X-chain group, dim {xd.gamma.dim}):"
-        for p, row in zip(xd.gamma.pivots, xd.gamma.rows):
-            yield (
-                f"    {_set(row):<14} bits {_bits(row, g.n)}"
-                f"  parity {stabilizer_parity(g, row):+d}  exclusive {p + 1}"
-            )
+        yield from _generator_lines(g, xd, _parities(g, xd), "    ", "exclusive")
         yield "  K (free vertices): " + (",".join(map(str, xd.kappa)) or "(none)")
         yield f"    -> fundamental string |{report['x_gamma']}>"
         yield f"    -> {1 << len(xd.kappa)} product-state terms, one per subset of K"
@@ -156,7 +191,7 @@ def _cmd_balanced(args, g):
     classes = [
         {
             "n": n,
-            "edges": [list(e) for e in c.graph.edges()],
+            "edges": c.graph.edges(),
             "witness_xchain": list(gf2.vertices_of(c.witness)),
             "witness_edge_count": c.witness_edge_count,
         }
@@ -195,8 +230,8 @@ def _cmd_schmidt(args, g):
             {
                 "xi": list(gf2.vertices_of(t.label)),
                 "sign": t.sign,
-                "vecA": _expansion_echo(t.vec_a)["terms"],
-                "vecB": _expansion_echo(t.vec_b)["terms"],
+                "vecA": _Terms(t.vec_a),
+                "vecB": _Terms(t.vec_b),
             }
             for t in dec.terms
         ],
@@ -347,7 +382,7 @@ def run(argv=None) -> int:
         if g is not None:
             report["graph"] = _graph_echo(g)
         if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(_render(report))
         else:
             print("\n".join(lines()))
         return 0 if report.get("ok", True) else 1

@@ -144,7 +144,8 @@ def complement_basis(sub: Basis, sup: Basis) -> Basis:
         if v:
             elim[low] = v
             taken.append(row)
-    return Basis(sup.width, tuple(taken), tuple((r & -r).bit_length() - 1 for r in taken))
+    # a list, since tuple(generator) resizes its tuple, which then piles up in CPython's free lists
+    return Basis(sup.width, tuple(taken), tuple([(r & -r).bit_length() - 1 for r in taken]))
 
 
 def gray_walk(rows: list[int]) -> Iterator[tuple[int, int]]:

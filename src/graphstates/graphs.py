@@ -172,7 +172,8 @@ def graph_symmetric_difference(g: Graph, h: Graph) -> Graph:
     """Graph whose edge set is the symmetric difference of the inputs."""
     if g.n != h.n:
         raise ValueError("graphs have different vertex counts")
-    return Graph(g.n, tuple(a ^ b for a, b in zip(g.adj, h.adj)))
+    # a list, since tuple(generator) resizes its tuple, which then piles up in CPython's free lists
+    return Graph(g.n, tuple([a ^ b for a, b in zip(g.adj, h.adj)]))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -15,7 +15,7 @@ from . import gf2
 from .graphs import Bipartition, Graph
 from .schmidt import PartitionGroups, partition_groups, schmidt_vectors
 from .stab import correlation_index
-from .xchains import XBasisExpansion
+from .xchains import EXPANSION_LIMIT, XBasisExpansion
 
 
 class DecodingTie(ValueError):
@@ -51,7 +51,8 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
     The words are x_Gamma + A xi restricted to A, an affine code, so one
     Gray walk over the crossing labels gives every word and the least
     pairwise distance, the least weight of a nonzero difference A xi; a
-    single codeword gets the sentinel distance |A| + 1.
+    single codeword gets the sentinel distance |A| + 1.  The 2^k words,
+    k the cut rank, are refused before the walk when k > EXPANSION_LIMIT.
     """
     pg = partition_groups(g, part)
     for name, basis in (("inside-A subgroup", pg.k_aa), ("detached-A subgroup", pg.k_simb)):
@@ -60,6 +61,12 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
                 f"A-side Schmidt vectors are superpositions: {name} is nontrivial "
                 f"({[gf2.vertices_of(r) for r in basis.rows]})"
             )
+    k = pg.k_harpoon.dim
+    if k > EXPANSION_LIMIT:
+        raise ValueError(
+            f"localization code with cut rank k={k} has 2^{k} codewords; "
+            f"capped at 2^{EXPANSION_LIMIT}"
+        )
     pos_a = part.a_positions()
     rows = pg.k_harpoon.rows
     diffs = [gf2.restrict(correlation_index(g, r), pos_a) for r in rows]

@@ -87,7 +87,8 @@ def factorize(g: Graph) -> XChainData:
     """
     gamma = xchain_group(g)
     pivot_set = set(gamma.pivots)
-    kappa = tuple(v + 1 for v in range(g.n) if v not in pivot_set)
+    # a list, since tuple(generator) resizes its tuple, which then piles up in CPython's free lists
+    kappa = tuple([v + 1 for v in range(g.n) if v not in pivot_set])
     x_gamma = 0
     for p, row in zip(gamma.pivots, gamma.rows):
         if stabilizer_parity(g, row) == -1:

@@ -79,6 +79,34 @@ def test_distance_of_the_16_edge_matching():
     assert code.distance == 1
 
 
+def test_code_refused_by_cut_rank_before_the_walk(monkeypatch, capsys):
+    import graphstates.gf2 as gf2
+    import graphstates.localize as localize
+    from graphstates.cli import run
+    from graphstates.graphs import emit_graph6
+
+    # the 3-edge matching {i, i+3} with A = 1..3 has cut rank 3 and 2^3 codewords
+    g = from_edges(6, [(1, 4), (2, 5), (3, 6)])
+    part = Bipartition.from_a(6, [1, 2, 3])
+    monkeypatch.setattr(localize, "EXPANSION_LIMIT", 3)
+    assert len(extract_code(g, part).codewords) == 8
+
+    def no_walk(rows):
+        raise AssertionError("gray_walk must not run")
+
+    monkeypatch.setattr(localize, "EXPANSION_LIMIT", 2)
+    monkeypatch.setattr(gf2, "gray_walk", no_walk)
+    with pytest.raises(ValueError, match=r"cut rank k=3 has 2\^3 codewords; capped at 2\^2"):
+        extract_code(g, part)
+    argv = ["localize", "--graph", "g6:" + emit_graph6(g), "--part-a", "1,2,3"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: localization code with cut rank k=3 has 2^3 codewords; capped at 2^2"
+    ]
+
+
 def test_extract_code_rejects_superposed_vectors():
     g = named("house")
     part = Bipartition.from_a(5, [1, 2, 3])
