@@ -7,8 +7,9 @@ exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
+from typing import NamedTuple
 
 from .graphs import Graph, all_graphs, graph_symmetric_difference
 from .stab import induced_edge_count, stabilizer_parity
@@ -17,20 +18,19 @@ from .xchains import factorize, global_sign
 MAX_BALANCED_N = 5  # the catalog walks all labeled graphs and all n! relabelings
 
 
-@dataclass(frozen=True)
-class DyadicReal:
+class DyadicReal(namedtuple("DyadicReal", "sign half_log")):
     """sign * 2^(-half_log/2), with sign in {-1, 0, +1}; zero has half_log 0."""
 
-    sign: int
-    half_log: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __new__(cls, sign: int, half_log: int):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.half_log < 0:
+        if half_log < 0:
             raise ValueError("half_log must be nonnegative")
-        if self.sign == 0 and self.half_log != 0:
+        if sign == 0 and half_log != 0:
             raise ValueError("zero must be canonical (half_log 0)")
+        return tuple.__new__(cls, (sign, half_log))
 
     @classmethod
     def zero(cls) -> "DyadicReal":
@@ -75,8 +75,7 @@ def is_balanced(g: Graph) -> bool:
     return factorize(g).x_gamma != 0
 
 
-@dataclass(frozen=True)
-class BalancedClass:
+class BalancedClass(NamedTuple):
     """One isomorphism class of balanced graphs with its odd-edge witness."""
 
     graph: Graph
@@ -100,9 +99,10 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
     for g in all_graphs(n):
         if g.adj in seen or not is_balanced(g):
             continue
+        adj = g.adj
         # order[i] is the vertex that takes position i
         orbit = {
-            tuple(sum(1 << i for i, u in enumerate(order) if g.adj[v] >> u & 1) for v in order)
+            tuple(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order)
             for order in permutations(range(n))
         }
         seen |= orbit

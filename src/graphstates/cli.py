@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import bias, gf2, localize, schmidt, xchains
@@ -395,7 +396,21 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Console entry point: `run`, with stdout flushed here so a closed pipe is caught.
+
+    A reader that closes stdout early (`| head`) gives exit 141 and an
+    interrupt exit 130, as a shell reports those signals, with no traceback.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    except KeyboardInterrupt:
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

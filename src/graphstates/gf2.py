@@ -7,8 +7,7 @@ routines are pure and exact; widths are capped at 32 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_WIDTH = 32
 
@@ -56,8 +55,7 @@ def restrict(mask: int, positions: list[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     """Canonical reduced row-echelon basis of a GF(2) subspace.
 
     Rows are sorted by pivot; each pivot bit (the lowest set bit of its
@@ -72,9 +70,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
 
 
 def rref(rows: Iterable[int], width: int) -> Basis:

@@ -7,7 +7,7 @@ bitmasks: bit j-1 of adj[v-1] is 1 iff vertices v and j are adjacent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Iterator
 
@@ -16,28 +16,27 @@ from . import gf2
 MAX_VERTICES = 32
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj")):
     """Simple undirected graph: vertex count plus adjacency bitmask rows."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} out of range 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} out of range 1..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
-        for v in range(self.n):
-            row = self.adj[v]
+        full = (1 << n) - 1
+        for v in range(n):
+            row = adj[v]
             if row & ~full:
                 raise ValueError("adjacency bits outside vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop on vertex {v + 1}")
-            for u in range(self.n):
-                if ((row >> u) & 1) != ((self.adj[u] >> v) & 1):
+            for u in range(n):
+                if ((row >> u) & 1) != ((adj[u] >> v) & 1):
                     raise ValueError("adjacency is not symmetric")
+        return tuple.__new__(cls, (n, adj))
 
     def neighbors(self, v: int) -> int:
         """Neighborhood of vertex v as a bitmask."""
@@ -46,10 +45,11 @@ class Graph:
         return self.adj[v - 1]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
+        n, adj = self.n, self.adj
         out = []
-        for v in range(1, self.n + 1):
-            row = self.adj[v - 1]
-            for u in range(v + 1, self.n + 1):
+        for v in range(1, n + 1):
+            row = adj[v - 1]
+            for u in range(v + 1, n + 1):
                 if (row >> (u - 1)) & 1:
                     out.append((v, u))
         return tuple(out)
@@ -58,22 +58,19 @@ class Graph:
         return sum(r.bit_count() for r in self.adj) // 2
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(namedtuple("Bipartition", "n a b")):
     """Split of the vertex set into two nonempty disjoint halves A and B."""
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        if self.a & self.b:
+    def __new__(cls, n: int, a: int, b: int):
+        if a & b:
             raise ValueError("parts overlap")
-        if (self.a | self.b) != full:
+        if (a | b) != (1 << n) - 1:
             raise ValueError("parts do not cover the vertex set")
-        if self.a == 0 or self.b == 0:
+        if a == 0 or b == 0:
             raise ValueError("both parts must be nonempty")
+        return tuple.__new__(cls, (n, a, b))
 
     @classmethod
     def from_a(cls, n: int, a_vertices) -> "Bipartition":

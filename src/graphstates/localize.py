@@ -9,7 +9,7 @@ whose nearest-codeword decoding corrects Z-errors in Alice's outcomes
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
 from .graphs import Bipartition, Graph
@@ -22,8 +22,7 @@ class DecodingTie(ValueError):
     """Two codewords are equidistant from the observed word."""
 
 
-@dataclass(frozen=True)
-class LocalizationCode:
+class LocalizationCode(NamedTuple):
     """Schmidt-basis strings on A, indexed by their crossing labels."""
 
     groups: PartitionGroups  # the A|B split the codewords are read from
@@ -32,8 +31,7 @@ class LocalizationCode:
     distance: int
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(NamedTuple):
     ideal_label: int
     ideal_word: int
     noisy: int

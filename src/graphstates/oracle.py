@@ -8,9 +8,9 @@ assertions downstream are exact equalities.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .bias import DyadicReal
 from .graphs import Bipartition, Graph
@@ -18,8 +18,7 @@ from .graphs import Bipartition, Graph
 MAX_DENSE_N = 14
 
 
-@dataclass
-class DenseState:
+class DenseState(NamedTuple):
     """Exact 2^n integer amplitude vector, state = amps * 2^(-scale/2)."""
 
     n: int

@@ -8,7 +8,7 @@ the Schmidt rank as an exact power of two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
 from .bias import DyadicReal
@@ -25,8 +25,7 @@ from .xchains import (
 )
 
 
-@dataclass(frozen=True)
-class PartitionGroups:
+class PartitionGroups(NamedTuple):
     """Factorization of the correlation representatives along a bipartition.
 
     W is spanned by singletons, so each subgroup is a GF(2) kernel over
@@ -59,22 +58,22 @@ def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
     """Split the correlation representatives into the four A|B subgroups."""
     if part.n != g.n:
         raise ValueError("bipartition size does not match the graph")
+    adj = g.adj
     xd = factorize(g)
     w = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
     in_w = [1 << p for p in xd.gamma.pivots]
-    corr_misses_b = in_w + [g.adj[p] for p in part.b_positions()]
-    k_b = gf2.kernel(in_w + [g.adj[p] for p in part.a_positions()], g.n)
+    corr_misses_b = in_w + [adj[p] for p in part.b_positions()]
+    k_b = gf2.kernel(in_w + [adj[p] for p in part.a_positions()], g.n)
     k_aa = gf2.kernel(corr_misses_b + [1 << p for p in part.b_positions()], g.n)
     # k_aa lies in a_group: x inside A and A.beta inside B give x . A.beta = 0
-    even_cut_k_b = [correlation_index(g, beta) for beta in k_b]
+    even_cut_k_b = [correlation_index(g, beta) for beta in k_b.rows]
     a_group = gf2.kernel(corr_misses_b + even_cut_k_b, g.n)
     k_simb = gf2.complement_basis(k_aa, a_group)
     k_harpoon = gf2.complement_basis(gf2.rref(a_group.rows + k_b.rows, g.n), w)
     return PartitionGroups(part, w, k_b, k_aa, a_group, k_simb, k_harpoon, xd)
 
 
-@dataclass(frozen=True)
-class SchmidtTerm:
+class SchmidtTerm(NamedTuple):
     label: int
     sign: int
     vec_a: XBasisExpansion
@@ -89,15 +88,13 @@ def _schmidt_terms(g: Graph, pg: PartitionGroups, labels: list[int]) -> list[Sch
     Label xi shifts each term by the restriction of A xi, and its sign is
     parity(xi + v) = parity(xi) parity(v) (-1)^(xi . A v).
     """
+    x_gamma = pg.xdata.x_gamma
     sides = []
     for side, basis in ((pg.part.a, pg.a_group), (pg.part.b, pg.k_b)):
         qubits = gf2.vertices_of(side)
         positions = [v - 1 for v in qubits]
         full = correlation_state(g, pg.xdata, basis, 0)
-        table = [
-            (gf2.restrict(m, positions), s, m ^ pg.xdata.x_gamma)
-            for m, s in full.terms.items()
-        ]
+        table = [(gf2.restrict(m, positions), s, m ^ x_gamma) for m, s in full.terms.items()]
         if len({r for r, _, _ in table}) != len(table):
             raise AssertionError("restriction collapsed distinct factor terms")
         sides.append((qubits, basis.dim, positions, table))
@@ -126,8 +123,7 @@ def schmidt_vectors(
     return t.sign, t.vec_a, t.vec_b
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(NamedTuple):
     """Equal-coefficient Schmidt decomposition over the crossing labels.
 
     The reconstruction sum coeff * sign * vec_a (x) vec_b reproduces the
@@ -182,4 +178,5 @@ def schmidt_rank(g: Graph, part: Bipartition) -> int:
     """
     if part.n != g.n:
         raise ValueError("bipartition size does not match the graph")
-    return gf2.rref([g.adj[p] & part.b for p in part.a_positions()], g.n).dim
+    adj, b = g.adj, part.b
+    return gf2.rref([adj[p] & b for p in part.a_positions()], g.n).dim

@@ -9,8 +9,8 @@ strings, where K is the set of free (non-pivot) vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gf2
 from .gf2 import Basis
@@ -20,8 +20,7 @@ from .stab import correlation_index, stabilizer_parity
 EXPANSION_LIMIT = 20  # log2 of the most expansion terms built for one output
 
 
-@dataclass(frozen=True)
-class XChainData:
+class XChainData(NamedTuple):
     """Canonical factorization of the subset group by the X-chain group.
 
     gamma      -- canonical basis of the X-chain group; each generator's
@@ -40,8 +39,7 @@ class XChainData:
     x_gamma: int
 
 
-@dataclass
-class XBasisExpansion:
+class XBasisExpansion(NamedTuple):
     """Exact signed dyadic expansion in the X-basis.
 
     state = 2^(-half_log_norm/2) * sum over terms of sign * |mask>,
@@ -50,7 +48,7 @@ class XBasisExpansion:
 
     qubits: tuple[int, ...]
     half_log_norm: int
-    terms: dict[int, int] = field(default_factory=dict)
+    terms: dict[int, int]
 
     def __str__(self):
         m = self.half_log_norm
@@ -107,7 +105,8 @@ def global_sign(g: Graph, xd: XChainData) -> int:
     correlation index Az and q(z), so q(z + u) = q(z) + q(u) + z.Au needs
     no edge recount; a singleton has q = 0.
     """
-    work = [(1 << (v - 1), g.adj[v - 1], 0) for v in xd.kappa]
+    adj = g.adj
+    work = [(1 << (v - 1), adj[v - 1], 0) for v in xd.kappa]
     arf = 0
     while work:
         e, ce, qe = work.pop()
@@ -134,9 +133,10 @@ def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpa
     """
     if k.dim > EXPANSION_LIMIT:
         raise ValueError(f"expansion has 2^{k.dim} terms; capped at 2^{EXPANSION_LIMIT}")
+    x_gamma = xd.x_gamma
     parity = stabilizer_parity(g, xi)
     corr = correlation_index(g, xi)
-    terms = {xd.x_gamma ^ corr: parity}
+    terms = {x_gamma ^ corr: parity}
     row_parity = [stabilizer_parity(g, r) for r in k.rows]
     row_corr = [correlation_index(g, r) for r in k.rows]
     for i, v in gf2.gray_walk(k.rows):
@@ -144,7 +144,7 @@ def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpa
         # x.Ar is the same before and after the step because r.Ar = 0
         parity *= row_parity[i] * (-1 if gf2.dot(xi ^ v, row_corr[i]) else 1)
         corr ^= row_corr[i]
-        mask = xd.x_gamma ^ corr
+        mask = x_gamma ^ corr
         if mask in terms:
             raise ValueError(
                 "term collision: the subgroup meets the X-chain group nontrivially"
@@ -166,7 +166,7 @@ def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
     rows = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
     e = correlation_state(g, xd, rows, 0)
     if global_sign(g, xd) < 0:
-        e.terms = {mask: -s for mask, s in e.terms.items()}
+        e = e._replace(terms={mask: -s for mask, s in e.terms.items()})
     return e
 
 
@@ -180,8 +180,9 @@ def measurement_support(g: Graph) -> list[tuple[int, Fraction]]:
         )
     prob = Fraction(1, 1 << len(xd.kappa))
     # x_Gamma + the span of the correlation images of the free singletons
-    images = [g.adj[v - 1] for v in xd.kappa]
-    return sorted((xd.x_gamma ^ c, prob) for c in gf2.iter_span(images))
+    adj, x_gamma = g.adj, xd.x_gamma
+    images = [adj[v - 1] for v in xd.kappa]
+    return sorted((x_gamma ^ c, prob) for c in gf2.iter_span(images))
 
 
 def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:

@@ -4,19 +4,51 @@ Slow or roundabout on purpose: each one checks a library result by a
 different route (dense Pauli action, brute-force relabeling, a 2^|K|
 sign sum, Schmidt factors built label by label, the graph's stabilizers
 applied term by term) or builds test input (bit strings, edge-list text).
+It also holds the stabilizer algebra the library does not need: Pauli
+stabilizers in X-then-Z normal form, their generators and products, and
+the cut-parity bilinear form.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import NamedTuple
 
 from graphstates import gf2
 from graphstates.bias import bias_degree
 from graphstates.graphs import Graph
 from graphstates.schmidt import PartitionGroups
 from graphstates.oracle import DenseState, _check_size, dense_to_x
-from graphstates.stab import PauliStabilizer, correlation_index, stabilizer_parity
+from graphstates.stab import correlation_index, stabilizer_parity
 from graphstates.xchains import XBasisExpansion, correlation_state
+
+
+class PauliStabilizer(NamedTuple):
+    """phase * sigma_X^(x_set) * sigma_Z^(z_set) on `width` qubits."""
+
+    width: int
+    phase: int
+    x_set: int
+    z_set: int
+
+
+def generator(g: Graph, v: int) -> PauliStabilizer:
+    """Stabilizer generator of vertex v: X on v, Z on its neighborhood."""
+    return PauliStabilizer(g.n, 1, 1 << (v - 1), g.neighbors(v))
+
+
+def induced_stabilizer(g: Graph, xi: int) -> PauliStabilizer:
+    """Product of the generators over xi, in X-then-Z normal form."""
+    return PauliStabilizer(g.n, stabilizer_parity(g, xi), xi, correlation_index(g, xi))
+
+
+def cut_parity(g: Graph, a: int, b: int) -> int:
+    """Parity of the number of edges between vertex sets a and b.
+
+    Defined as the GF(2) bilinear form a^T A b; for overlapping sets this
+    is the unique extension consistent with parity multiplication.
+    """
+    return gf2.dot(a, correlation_index(g, b))
 
 
 def string_to_mask(bits: str) -> int:

@@ -11,7 +11,9 @@ from helpers import all_graphs, random_graph
 from reference import (
     brute_canonical_form,
     check_stabilizer,
+    cut_parity,
     dense_from_expansion,
+    induced_stabilizer,
     multiply,
     string_to_mask,
 )
@@ -36,11 +38,7 @@ from graphstates.schmidt import (
     schmidt_rank,
     schmidt_vectors,
 )
-from graphstates.stab import (
-    cut_parity,
-    induced_stabilizer,
-    stabilizer_parity,
-)
+from graphstates.stab import stabilizer_parity
 from graphstates.xchains import (
     correlation_state,
     factorize,

@@ -328,13 +328,16 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def _python_m(*argv):
+def _cli_env():
     src = str(Path(graphstates.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _python_m(*argv):
     return subprocess.run(
         [sys.executable, "-m", "graphstates.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
 
 
@@ -346,3 +349,29 @@ def test_python_m_runs_the_cli():
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 4,096 terms print ~280 kB, far more than a pipe holds, so the CLI is
+    # still writing when the reader closes the pipe after one line
+    argv = ["represent", "--graph", "complete:12", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "graphstates.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 130
+    assert capsys.readouterr() == ("", "")

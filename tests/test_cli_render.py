@@ -3,7 +3,9 @@
 The reports hold expansion terms as `cli._Terms` and edge lists as tuples
 of int pairs.  `plain` spells the terms out as the {"bits", "sign"}
 records they stand for by hand, not through json.dumps(default=...),
-which a tuple or list subclass would never reach.
+which a tuple or list subclass would never reach.  The library's records
+are named tuples, which `_render` would print as edge lists, so no report
+may hold one.
 """
 
 import json
@@ -13,7 +15,7 @@ import pytest
 
 from test_cli_bytes import COMMANDS
 from graphstates import cli, gf2
-from graphstates.graphs import emit_graph6, from_edges, random_graph
+from graphstates.graphs import emit_graph6, from_edges, named, random_graph
 from graphstates.xchains import XBasisExpansion
 
 
@@ -29,6 +31,17 @@ def plain(x):
     if isinstance(x, (list, tuple)):
         return [plain(v) for v in x]
     return x
+
+
+def tuple_subclasses(x):
+    """Every value nested in x whose type is a tuple subclass, such as a record."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, tuple) and type(x) is not tuple:
+        return [x]
+    if isinstance(x, (list, tuple)):
+        return [r for v in x for r in tuple_subclasses(v)]
+    return []
 
 
 def expected(report):
@@ -48,6 +61,7 @@ def json_report(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "_render", spy)
     assert cli.run(argv + ["--format", "json"]) == 0
     [report] = reports
+    assert tuple_subclasses(report) == []
     assert capsys.readouterr().out == expected(report) + "\n"
     return report
 
@@ -57,6 +71,13 @@ def test_render_matches_json_dumps_on_pinned_commands(monkeypatch, capsys, argv)
     report = json_report(monkeypatch, capsys, argv)
     if argv[0] == "verify":
         assert report["notes"]
+
+
+def test_schmidt_report_holds_no_records(monkeypatch, capsys):
+    # the handler reads a decomposition, its terms and a bipartition, all records
+    report = json_report(monkeypatch, capsys, ["schmidt", "--graph", "house", "--part-a", "1,2,3"])
+    assert tuple_subclasses(report) == []
+    assert tuple_subclasses({"graph": [named("house")]}) == [named("house")]
 
 
 def test_render_matches_json_dumps_on_4096_terms(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import all_graphs, random_graph
-from reference import apply_pauli, string_to_mask
+from reference import PauliStabilizer, apply_pauli, string_to_mask
 from graphstates.gf2 import contains, mask_of
 from graphstates.graphs import Bipartition, from_edges, named
 from graphstates.localize import DecodingTie, decode, extract_code, simulate
@@ -16,7 +16,6 @@ from graphstates.oracle import (
     x_distribution,
 )
 from graphstates.schmidt import partition_groups, schmidt_vectors
-from graphstates.stab import PauliStabilizer
 from graphstates.xchains import xchain_group
 
 

@@ -7,8 +7,11 @@ import pytest
 
 from helpers import all_graphs, random_bipartition_mask, random_graph
 from reference import (
+    PauliStabilizer,
     apply_pauli,
     check_stabilizer,
+    generator,
+    induced_stabilizer,
     multiply,
     norm_squared_is_unit,
     scatter,
@@ -28,13 +31,7 @@ from graphstates.oracle import (
     state_overlap,
     x_distribution,
 )
-from graphstates.stab import (
-    PauliStabilizer,
-    correlation_index,
-    generator,
-    induced_stabilizer,
-    stabilizer_parity,
-)
+from graphstates.stab import correlation_index, stabilizer_parity
 
 
 def test_dense_state_z_examples():

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from helpers import all_graphs, gnp_graph, random_graph, random_bipartition_mask
-from reference import is_stabilized, per_label_schmidt_vectors, scatter, string_to_mask
+from reference import (
+    cut_parity,
+    is_stabilized,
+    per_label_schmidt_vectors,
+    scatter,
+    string_to_mask,
+)
 from graphstates import gf2
 from graphstates.bias import DyadicReal
 from graphstates.gf2 import iter_span, mask_of, rref
@@ -17,7 +23,7 @@ from graphstates.schmidt import (
     schmidt_rank,
     schmidt_vectors,
 )
-from graphstates.stab import correlation_index, cut_parity
+from graphstates.stab import correlation_index
 from graphstates.xchains import (
     XBasisExpansion,
     correlation_state,

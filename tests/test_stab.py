@@ -6,18 +6,19 @@ from itertools import product
 import pytest
 
 from helpers import all_graphs, random_graph
-from reference import check_stabilizer, multiply, string_to_mask
-from graphstates.gf2 import mask_of
-from graphstates.graphs import named
-from graphstates.oracle import dense_state_z
-from graphstates.stab import (
+from reference import (
     PauliStabilizer,
-    correlation_index,
+    check_stabilizer,
     cut_parity,
     generator,
     induced_stabilizer,
-    stabilizer_parity,
+    multiply,
+    string_to_mask,
 )
+from graphstates.gf2 import mask_of
+from graphstates.graphs import named
+from graphstates.oracle import dense_state_z
+from graphstates.stab import correlation_index, stabilizer_parity
 
 
 def test_generator_examples():
