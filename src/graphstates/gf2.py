@@ -2,7 +2,9 @@
 
 Vertex subsets are stored as Python ints: bit j-1 corresponds to vertex j,
 so the printable string i_1...i_n reads the mask from bit 0 upward.  All
-routines are pure and exact; widths are capped at 32 bits.
+routines are pure and exact; widths are capped at 32 bits.  rref and kernel
+each run one elimination, and raise ValueError for a width outside
+0..MAX_WIDTH or a row with a bit at or above the width.
 """
 
 from __future__ import annotations
@@ -72,43 +74,63 @@ class Basis(NamedTuple):
         return len(self.rows)
 
 
-def rref(rows: Iterable[int], width: int) -> Basis:
-    """Reduced row echelon form over GF(2), lowest-index pivots first."""
+def _eliminate(rows: Iterable[int], width: int, high: bool) -> dict[int, int]:
+    """Fully reduced rows spanning span(rows), keyed by their pivot bit.
+
+    The pivot is a row's highest set bit if `high`, else its lowest.  Rows
+    are reduced until zero or a new pivot, then back-substituted once: a
+    row holds bits on one side of its pivot only, so walking the pivots in
+    from that side XORs into each row only rows that are already finished.
+    """
     if width < 0 or width > MAX_WIDTH:
         raise ValueError(f"width {width} out of range 0..{MAX_WIDTH}")
-    work = list(rows)
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                piv = i
+    piv: dict[int, int] = {}
+    for r in rows:
+        if r >> width:
+            raise ValueError(f"row {r} has a bit outside width {width}")
+        while r:
+            k = 1 << (r.bit_length() - 1) if high else r & -r
+            if k not in piv:
+                piv[k] = r
                 break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-    return Basis(width, tuple(work[:r]), tuple(pivots))
+            r ^= piv[k]
+    done = 0
+    for k in sorted(piv, reverse=not high):
+        r = piv[k]
+        m = r & done
+        while m:
+            b = m & -m
+            r ^= piv[b]
+            m ^= b
+        piv[k] = r
+        done |= k
+    return piv
+
+
+def rref(rows: Iterable[int], width: int) -> Basis:
+    """Reduced row echelon form over GF(2), lowest-index pivots first."""
+    piv = _eliminate(rows, width, False)
+    keys = sorted(piv)
+    return Basis(width, tuple([piv[k] for k in keys]), tuple([k.bit_length() - 1 for k in keys]))
 
 
 def kernel(rows: Iterable[int], width: int) -> Basis:
-    """Canonical basis of {x : row . x = 0 over GF(2) for every row}."""
-    echelon = rref(rows, width)
-    pivot_set = set(echelon.pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = 1 << f
-        for p, row in zip(echelon.pivots, echelon.rows):
-            if (row >> f) & 1:
-                v |= 1 << p
-        vecs.append(v)
-    return rref(vecs, width)
+    """Canonical basis of {x : row . x = 0 over GF(2) for every row}.
+
+    One elimination on highest bits: the vector of free column f is f plus
+    the pivots whose rows hold f, all above f, so the vectors are already
+    the canonical basis.
+    """
+    piv = _eliminate(rows, width, True)
+    free = ((1 << width) - 1) ^ sum(piv)
+    vecs = {1 << f: 1 << f for f in range(width) if free >> f & 1}
+    for k, r in piv.items():
+        m = r & free
+        while m:
+            b = m & -m
+            vecs[b] |= k
+            m ^= b
+    return Basis(width, tuple(vecs.values()), tuple([b.bit_length() - 1 for b in vecs]))
 
 
 def contains(basis: Basis, vec: int) -> bool:

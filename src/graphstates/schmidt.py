@@ -54,13 +54,14 @@ class PartitionGroups(NamedTuple):
     xdata: XChainData
 
 
-def partition_groups(g: Graph, part: Bipartition) -> PartitionGroups:
-    """Split the correlation representatives into the four A|B subgroups."""
+def partition_groups(g: Graph, part: Bipartition, xd: XChainData | None = None) -> PartitionGroups:
+    """Split the correlation representatives into the four A|B subgroups; xd if known."""
     if part.n != g.n:
         raise ValueError("bipartition size does not match the graph")
     adj = g.adj
-    xd = factorize(g)
-    w = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
+    if xd is None:
+        xd = factorize(g)
+    w = xd.free_span
     in_w = [1 << p for p in xd.gamma.pivots]
     corr_misses_b = in_w + [adj[p] for p in part.b_positions()]
     k_b = gf2.kernel(in_w + [adj[p] for p in part.a_positions()], g.n)

@@ -2,7 +2,8 @@
 
 Each graph's Z-basis state and its Hadamard transform are built once and
 feed every dense check; only the overlap check builds a second state, for
-its random partner.
+its random partner.  Likewise the graph is factorized once for every
+symbolic check, and the overlap factorizes its symmetric difference.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list
         for _ in range(3):
             a = rng.randrange(1, (1 << g.n) - 1)
             part = Bipartition(g.n, a, ((1 << g.n) - 1) & ~a)
-            pg = schmidt.partition_groups(g, part)
+            pg = schmidt.partition_groups(g, part, xd)
             if pg.k_simb.dim:
                 notes.append(f"nonempty detached subgroup {tag} A={a:b}")
             if (1 << pg.k_harpoon.dim) != oracle.state_schmidt_rank(sz, part):
                 mismatches.append(f"schmidt-rank {tag} A={a:b}")
     # (e) measurement support vs Born distribution
-    if dict(xchains.measurement_support(g)) != oracle.born_distribution(sx):
+    if dict(xchains.measurement_support(g, xd)) != oracle.born_distribution(sx):
         mismatches.append(f"measurement-support {tag}")
 
 

@@ -38,6 +38,12 @@ class XChainData(NamedTuple):
     kappa: tuple[int, ...]
     x_gamma: int
 
+    @property
+    def free_span(self) -> Basis:
+        """Span of the free singletons; its canonical basis is the unit vectors."""
+        pivots = tuple([v - 1 for v in self.kappa])
+        return Basis(self.gamma.width, tuple([1 << p for p in pivots]), pivots)
+
 
 class XBasisExpansion(NamedTuple):
     """Exact signed dyadic expansion in the X-basis.
@@ -163,16 +169,16 @@ def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
     """
     if xd is None:
         xd = factorize(g)
-    rows = gf2.rref([1 << (v - 1) for v in xd.kappa], g.n)
-    e = correlation_state(g, xd, rows, 0)
+    e = correlation_state(g, xd, xd.free_span, 0)
     if global_sign(g, xd) < 0:
         e = e._replace(terms={mask: -s for mask, s in e.terms.items()})
     return e
 
 
-def measurement_support(g: Graph) -> list[tuple[int, Fraction]]:
-    """Nonzero full-X-measurement outcomes with their exact probabilities."""
-    xd = factorize(g)
+def measurement_support(g: Graph, xd: XChainData | None = None) -> list[tuple[int, Fraction]]:
+    """Nonzero full-X-measurement outcomes with their exact probabilities; xd if known."""
+    if xd is None:
+        xd = factorize(g)
     if len(xd.kappa) > EXPANSION_LIMIT:
         raise ValueError(
             f"measurement support has 2^{len(xd.kappa)} outcomes; "

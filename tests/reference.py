@@ -3,7 +3,8 @@
 Slow or roundabout on purpose: each one checks a library result by a
 different route (dense Pauli action, brute-force relabeling, a 2^|K|
 sign sum, Schmidt factors built label by label, the graph's stabilizers
-applied term by term) or builds test input (bit strings, edge-list text).
+applied term by term, a column-scan GF(2) elimination) or builds test
+input (bit strings, edge-list text).
 It also holds the stabilizer algebra the library does not need: Pauli
 stabilizers in X-then-Z normal form, their generators and products, and
 the cut-parity bilinear form.
@@ -16,11 +17,58 @@ from typing import NamedTuple
 
 from graphstates import gf2
 from graphstates.bias import bias_degree
+from graphstates.gf2 import MAX_WIDTH, Basis
 from graphstates.graphs import Graph
 from graphstates.schmidt import PartitionGroups
 from graphstates.oracle import DenseState, _check_size, dense_to_x
 from graphstates.stab import correlation_index, stabilizer_parity
 from graphstates.xchains import XBasisExpansion, correlation_state
+
+
+def column_scan_rref(rows, width: int) -> Basis:
+    """Reduced row echelon form over GF(2), lowest-index pivots first.
+
+    The reference for gf2.rref: scans the columns in order, swaps a row
+    holding the column up and clears the column from every other row.
+    """
+    if width < 0 or width > MAX_WIDTH:
+        raise ValueError(f"width {width} out of range 0..{MAX_WIDTH}")
+    work = list(rows)
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = None
+        for i in range(r, len(work)):
+            if (work[i] >> col) & 1:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return Basis(width, tuple(work[:r]), tuple(pivots))
+
+
+def two_pass_kernel(rows, width: int) -> Basis:
+    """Canonical kernel basis: one vector per free column, then a second rref.
+
+    The reference for gf2.kernel.
+    """
+    echelon = column_scan_rref(rows, width)
+    pivot_set = set(echelon.pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    vecs = []
+    for f in free:
+        v = 1 << f
+        for p, row in zip(echelon.pivots, echelon.rows):
+            if (row >> f) & 1:
+                v |= 1 << p
+        vecs.append(v)
+    return column_scan_rref(vecs, width)
 
 
 class PauliStabilizer(NamedTuple):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reference import scatter, string_to_mask
+from reference import column_scan_rref, scatter, string_to_mask, two_pass_kernel
 from graphstates import gf2
 from graphstates.gf2 import (
     complement_basis,
@@ -82,6 +82,67 @@ def test_complement_rejects_non_subspace():
     sup = rref(masks("001"), 3)
     with pytest.raises(ValueError):
         complement_basis(sub, sup)
+
+
+def random_rows(rng, width):
+    """Up to 40 rows of the given width: random, sparse, zero or repeated."""
+    rows = []
+    for _ in range(rng.randrange(41)):
+        kind = rng.randrange(10) if width else 0
+        if kind == 0:
+            rows.append(0)
+        elif kind == 1 and rows:
+            rows.append(rng.choice(rows))
+        elif kind < 5:
+            rows.append(1 << rng.randrange(width) | 1 << rng.randrange(width))
+        else:
+            rows.append(rng.getrandbits(width))
+    return rows
+
+
+def test_elimination_matches_column_scan_reference():
+    # 20,000 inputs, alternately through rref and kernel
+    rng = random.Random(20)
+    pairs = [(rref, column_scan_rref), (kernel, two_pass_kernel)]
+    crowded = top_bit = 0
+    for i in range(20000):
+        w = rng.randrange(33)
+        rows = random_rows(rng, w)
+        crowded += len(rows) > w
+        top_bit += any(r >> 31 for r in rows)
+        fn, ref = pairs[i & 1]
+        assert fn(rows, w) == ref(rows, w)
+    assert crowded > 5000 and top_bit > 200
+
+
+def test_elimination_matches_reference_on_drawn_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    inputs = st.integers(0, 32).flatmap(
+        lambda w: st.tuples(st.lists(st.integers(0, (1 << w) - 1), max_size=40), st.just(w))
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(inputs)
+    def check(case):
+        rows, w = case
+        assert rref(rows, w) == column_scan_rref(rows, w)
+        assert kernel(rows, w) == two_pass_kernel(rows, w)
+
+    check()
+
+
+@pytest.mark.parametrize("fn", [rref, kernel])
+def test_elimination_rejects_bad_width_and_wide_rows(fn):
+    for width in (-1, 33):
+        with pytest.raises(ValueError, match="out of range"):
+            fn([], width)
+    with pytest.raises(ValueError, match="outside width 2"):
+        fn([0b01, 0b101], 2)
+    with pytest.raises(ValueError, match="outside width 0"):
+        fn([1], 0)
+    with pytest.raises(ValueError, match="outside width 32"):
+        fn([1 << 32], 32)
 
 
 def test_kernel_and_rank_invariants():
