@@ -12,7 +12,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .graphs import Graph, all_graphs, graph_symmetric_difference
-from .stab import induced_edge_count, stabilizer_parity
+from .stab import induced_edge_count
 from .xchains import factorize, global_sign
 
 MAX_BALANCED_N = 5  # the catalog walks all labeled graphs and all n! relabelings
@@ -90,7 +90,7 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
     balanced graph of a class adds its orbit, the n! relabeled adjacency
     tuples, to `seen`, so later members of the class are skipped; the
     least tuple of the orbit represents the class.  Each class carries
-    an X-chain whose induced subgraph has an odd edge count.
+    an X-chain generator whose induced subgraph has an odd edge count.
     """
     if n > MAX_BALANCED_N:
         raise ValueError(f"balanced catalog enumeration is capped at n <= {MAX_BALANCED_N}")
@@ -107,9 +107,9 @@ def enumerate_balanced(n: int) -> list[BalancedClass]:
         }
         seen |= orbit
         canon = Graph(n, min(orbit))
-        witness = next(
-            row for row in factorize(canon).gamma.rows
-            if stabilizer_parity(canon, row) == -1
-        )
+        xd = factorize(canon)
+        # the generators of negative parity are those whose pivots make up x_Gamma
+        gens = zip(xd.gamma.pivots, xd.gamma.rows)
+        witness = next(row for p, row in gens if xd.x_gamma >> p & 1)
         classes.append(BalancedClass(canon, witness, induced_edge_count(canon, witness)))
     return sorted(classes, key=lambda c: (c.graph.edge_count(), c.graph.adj))

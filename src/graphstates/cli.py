@@ -11,7 +11,6 @@ import sys
 from . import bias, gf2, localize, schmidt, xchains
 from .bias import DyadicReal
 from .graphs import Bipartition, Graph, named, parse_edge_list, parse_graph6
-from .stab import stabilizer_parity
 from .verify import run_verification
 
 
@@ -89,9 +88,6 @@ def _dyadic_echo(d: DyadicReal) -> dict:
     return {"value": str(d), "approx": d.approx()}
 
 
-_bits = gf2.mask_to_string
-
-
 def _expansion_echo(e: xchains.XBasisExpansion) -> dict:
     return {"qubits": list(e.qubits), "half_log_norm": e.half_log_norm, "terms": _Terms(e)}
 
@@ -104,15 +100,19 @@ def _graph_line(g: Graph) -> str:
     return f"graph: n={g.n}, edges: " + " ".join(f"({u},{v})" for u, v in g.edges())
 
 
-def _parities(g: Graph, xd: xchains.XChainData) -> list[int]:
-    return [stabilizer_parity(g, row) for row in xd.gamma.rows]
+def _generators(xd: xchains.XChainData) -> list[tuple[int, int, int]]:
+    """(pivot, row, parity) per X-chain generator: parity -1 iff its pivot is in x_Gamma."""
+    return [
+        (p, row, -1 if xd.x_gamma >> p & 1 else 1)
+        for p, row in zip(xd.gamma.pivots, xd.gamma.rows)
+    ]
 
 
-def _generator_lines(g: Graph, xd: xchains.XChainData, parities, indent: str, exclusive: str):
+def _generator_lines(g: Graph, gens, indent: str, exclusive: str):
     """One text line per X-chain group generator; `exclusive` names its exclusive vertex."""
-    for p, row, parity in zip(xd.gamma.pivots, xd.gamma.rows, parities):
+    for p, row, parity in gens:
         yield (
-            f"{indent}{_set(row):<14} bits {_bits(row, g.n)}"
+            f"{indent}{_set(row):<14} bits {gf2.mask_to_string(row, g.n)}"
             f"  parity {parity:+d}  {exclusive} {p + 1}"
         )
 
@@ -120,27 +120,26 @@ def _generator_lines(g: Graph, xd: xchains.XChainData, parities, indent: str, ex
 def _cmd_xchains(args, g):
     xd = xchains.factorize(g)
     alpha = xchains.global_sign(g, xd)
-    parities = _parities(g, xd)
-    gens = [
-        {
-            "vertices": list(gf2.vertices_of(row)),
-            "bits": _bits(row, g.n),
-            "parity": parity,
-            "exclusive": p + 1,
-        }
-        for p, row, parity in zip(xd.gamma.pivots, xd.gamma.rows, parities)
-    ]
+    gens = _generators(xd)
     report = {
-        "generators": gens,
+        "generators": [
+            {
+                "vertices": list(gf2.vertices_of(row)),
+                "bits": gf2.mask_to_string(row, g.n),
+                "parity": parity,
+                "exclusive": p + 1,
+            }
+            for p, row, parity in gens
+        ],
         "kappa": list(xd.kappa),
-        "x_gamma": _bits(xd.x_gamma, g.n),
+        "x_gamma": gf2.mask_to_string(xd.x_gamma, g.n),
         "alpha": alpha,
     }
 
     def lines():
         yield _graph_line(g)
         yield f"X-chain group: dim {xd.gamma.dim}"
-        yield from _generator_lines(g, xd, parities, "  ", "exclusive vertex")
+        yield from _generator_lines(g, gens, "  ", "exclusive vertex")
         yield "free vertices K: " + (",".join(map(str, xd.kappa)) or "(none)")
         yield f"fundamental string x_Gamma = {report['x_gamma']}"
         yield f"global sign alpha = {alpha:+d}"
@@ -153,7 +152,7 @@ def _cmd_represent(args, g):
     e = xchains.x_representation(g, xd)
     alpha = e.terms[xd.x_gamma]  # the term |x_Gamma> carries the global sign alone
     report = {
-        "x_gamma": _bits(xd.x_gamma, g.n),
+        "x_gamma": gf2.mask_to_string(xd.x_gamma, g.n),
         "alpha": alpha,
         "expansion": _expansion_echo(e),
     }
@@ -162,7 +161,7 @@ def _cmd_represent(args, g):
         yield _graph_line(g)
         yield "P(V) = <Gamma> x <K>"
         yield f"  Gamma (X-chain group, dim {xd.gamma.dim}):"
-        yield from _generator_lines(g, xd, _parities(g, xd), "    ", "exclusive")
+        yield from _generator_lines(g, _generators(xd), "    ", "exclusive")
         yield "  K (free vertices): " + (",".join(map(str, xd.kappa)) or "(none)")
         yield f"    -> fundamental string |{report['x_gamma']}>"
         yield f"    -> {1 << len(xd.kappa)} product-state terms, one per subset of K"
@@ -212,12 +211,17 @@ def _cmd_balanced(args, g):
     return report, lines
 
 
+def _partition(args, g: Graph) -> Bipartition:
+    """The bipartition whose part A is the --part-a vertex list."""
+    return Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
+
+
 def _partition_echo(part: Bipartition) -> dict:
     return {"a": list(gf2.vertices_of(part.a)), "b": list(gf2.vertices_of(part.b))}
 
 
 def _cmd_schmidt(args, g):
-    part = Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
+    part = _partition(args, g)
     dec = schmidt.schmidt_decomposition(g, part)
     k = dec.k
     report = {
@@ -251,15 +255,15 @@ def _cmd_schmidt(args, g):
 
 
 def _cmd_localize(args, g):
-    part = Bipartition.from_a(g.n, _parse_vertices(args.part_a, g.n, "--part-a"))
+    part = _partition(args, g)
     errors = gf2.mask_of(_parse_vertices(args.errors, g.n, "--errors"))
     rep = localize.simulate(g, part, errors, args.seed)
     width_a = part.a.bit_count()
     report = {
         "partition": _partition_echo(part),
-        "ideal": _bits(rep.ideal_word, width_a),
-        "noisy": _bits(rep.noisy, width_a),
-        "corrected": _bits(rep.corrected, width_a),
+        "ideal": gf2.mask_to_string(rep.ideal_word, width_a),
+        "noisy": gf2.mask_to_string(rep.noisy, width_a),
+        "corrected": gf2.mask_to_string(rep.corrected, width_a),
         "label": list(gf2.vertices_of(rep.decoded_label)),
         "flips": rep.flips,
         "success": rep.success,
@@ -307,65 +311,47 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_GRAPH = ("--graph", {"required": True, "help": "graph spec: family name, @file.edges, or g6:..."})
+_PART_A = ("--part-a", {"required": True, "help": "comma-separated A vertices"})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# command -> (its handler, its flags after --format, in the order usage lists them)
+_COMMANDS = {
+    "xchains": (_cmd_xchains, [_GRAPH]),
+    "represent": (_cmd_represent, [_GRAPH]),
+    "bias": (_cmd_bias, [_GRAPH]),
+    "overlap": (_cmd_overlap, [_GRAPH, ("--graph2", _GRAPH[1])]),
+    "balanced": (_cmd_balanced, [("--max-n", {"type": int, "default": 5})]),
+    "schmidt": (_cmd_schmidt, [_GRAPH, _PART_A]),
+    "localize": (_cmd_localize, [
+        _GRAPH,
+        _PART_A,
+        ("--errors", {"default": "", "help": "comma-separated error vertices on A"}),
+        _SEED,
+    ]),
+    "verify": (_cmd_verify, [
+        ("--max-n", {"type": int, "default": 8}),
+        ("--samples", {"type": int, "default": 30}),
+        _SEED,
+    ]),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process.
+    """The parser of every command in _COMMANDS, built once per process.
 
     It is shared by every call of `run` and never mutated after it is
     built: `parse_args` returns a fresh Namespace and writes nothing back.
     """
-    parser = _Parser(
-        prog="graphstates",
-        description="Exact X-basis analysis of graph states.",
-    )
+    parser = _Parser(prog="graphstates", description="Exact X-basis analysis of graph states.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
-    def add(name, handler, **flags):
-        p = sub.add_parser(name, parents=[common])
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
         p.set_defaults(handler=handler)
-        return p
-
-    graph_flag = {"required": True, "help": "graph spec: family name, @file.edges, or g6:..."}
-    add("xchains", _cmd_xchains, **{"--graph": graph_flag})
-    add("represent", _cmd_represent, **{"--graph": graph_flag})
-    add("bias", _cmd_bias, **{"--graph": graph_flag})
-    add(
-        "overlap",
-        _cmd_overlap,
-        **{"--graph": graph_flag, "--graph2": dict(graph_flag)},
-    )
-    add("balanced", _cmd_balanced, **{"--max-n": {"type": int, "default": 5}})
-    add(
-        "schmidt",
-        _cmd_schmidt,
-        **{
-            "--graph": graph_flag,
-            "--part-a": {"required": True, "help": "comma-separated A vertices"},
-        },
-    )
-    add(
-        "localize",
-        _cmd_localize,
-        **{
-            "--graph": graph_flag,
-            "--part-a": {"required": True, "help": "comma-separated A vertices"},
-            "--errors": {"default": "", "help": "comma-separated error vertices on A"},
-            "--seed": {"type": int, "default": 0},
-        },
-    )
-    add(
-        "verify",
-        _cmd_verify,
-        **{
-            "--max-n": {"type": int, "default": 8},
-            "--samples": {"type": int, "default": 30},
-            "--seed": {"type": int, "default": 0},
-        },
-    )
     return parser
 
 

@@ -38,12 +38,6 @@ class Graph(namedtuple("Graph", "n adj")):
                     raise ValueError("adjacency is not symmetric")
         return tuple.__new__(cls, (n, adj))
 
-    def neighbors(self, v: int) -> int:
-        """Neighborhood of vertex v as a bitmask."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self.adj[v - 1]
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         n, adj = self.n, self.adj
         out = []

@@ -181,8 +181,3 @@ def born_distribution(s: DenseState) -> dict[int, Fraction]:
     prob = {a * a: Fraction(a * a, denom) for a in set(s.amps) if a}
     return {mask: prob[a * a] for mask, a in enumerate(s.amps) if a}
 
-
-def x_distribution(g: Graph) -> dict[int, Fraction]:
-    """Exact Born distribution of full X-measurements, nonzero outcomes only."""
-    return born_distribution(dense_to_x(dense_state_z(g)))
-

@@ -28,11 +28,11 @@ from .xchains import (
 class PartitionGroups(NamedTuple):
     """Factorization of the correlation representatives along a bipartition.
 
-    W is spanned by singletons, so each subgroup is a GF(2) kernel over
-    vertex masks: x lies in W iff it misses every exclusive vertex, and
-    bit p of the correlation index of x is adj[p] . x.
+    W = xdata.free_span is spanned by the free-vertex singletons, so each
+    subgroup is a GF(2) kernel over vertex masks: x lies in W iff it
+    misses every exclusive vertex, and bit p of the correlation index of
+    x is adj[p] . x.
 
-    reps       -- W, the span of the free-vertex singletons
     k_b        -- members of W whose correlation index misses A
     k_aa       -- members of W inside A whose correlation index misses B
     a_group    -- members of W whose correlation index misses B and that
@@ -45,7 +45,6 @@ class PartitionGroups(NamedTuple):
     """
 
     part: Bipartition
-    reps: Basis
     k_b: Basis
     k_aa: Basis
     a_group: Basis
@@ -71,7 +70,7 @@ def partition_groups(g: Graph, part: Bipartition, xd: XChainData | None = None) 
     a_group = gf2.kernel(corr_misses_b + even_cut_k_b, g.n)
     k_simb = gf2.complement_basis(k_aa, a_group)
     k_harpoon = gf2.complement_basis(gf2.rref(a_group.rows + k_b.rows, g.n), w)
-    return PartitionGroups(part, w, k_b, k_aa, a_group, k_simb, k_harpoon, xd)
+    return PartitionGroups(part, k_b, k_aa, a_group, k_simb, k_harpoon, xd)
 
 
 class SchmidtTerm(NamedTuple):

@@ -6,12 +6,14 @@ sign sum, Schmidt factors built label by label, the graph's stabilizers
 applied term by term, a column-scan GF(2) elimination) or builds test
 input (bit strings, edge-list text).
 It also holds the stabilizer algebra the library does not need: Pauli
-stabilizers in X-then-Z normal form, their generators and products, and
-the cut-parity bilinear form.
+stabilizers in X-then-Z normal form, their generators and products, the
+cut-parity bilinear form, and the dense Born distribution of full
+X-measurements.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
@@ -20,7 +22,13 @@ from graphstates.bias import bias_degree
 from graphstates.gf2 import MAX_WIDTH, Basis
 from graphstates.graphs import Graph
 from graphstates.schmidt import PartitionGroups
-from graphstates.oracle import DenseState, _check_size, dense_to_x
+from graphstates.oracle import (
+    DenseState,
+    _check_size,
+    born_distribution,
+    dense_state_z,
+    dense_to_x,
+)
 from graphstates.stab import correlation_index, stabilizer_parity
 from graphstates.xchains import XBasisExpansion, correlation_state
 
@@ -82,7 +90,9 @@ class PauliStabilizer(NamedTuple):
 
 def generator(g: Graph, v: int) -> PauliStabilizer:
     """Stabilizer generator of vertex v: X on v, Z on its neighborhood."""
-    return PauliStabilizer(g.n, 1, 1 << (v - 1), g.neighbors(v))
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return PauliStabilizer(g.n, 1, 1 << (v - 1), g.adj[v - 1])
 
 
 def induced_stabilizer(g: Graph, xi: int) -> PauliStabilizer:
@@ -97,6 +107,11 @@ def cut_parity(g: Graph, a: int, b: int) -> int:
     is the unique extension consistent with parity multiplication.
     """
     return gf2.dot(a, correlation_index(g, b))
+
+
+def x_distribution(g: Graph) -> dict[int, Fraction]:
+    """Exact Born distribution of full X-measurements, nonzero outcomes only."""
+    return born_distribution(dense_to_x(dense_state_z(g)))
 
 
 def string_to_mask(bits: str) -> int:

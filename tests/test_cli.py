@@ -263,6 +263,40 @@ def test_usage_errors_exit_2(capsys):
     assert capsys.readouterr().out.startswith("usage: graphstates bias")
 
 
+# command -> (its required flags with a value each, then its optional flags at their defaults)
+_PARSER_PINS = {
+    "xchains": ({"--graph": "house"}, {}),
+    "represent": ({"--graph": "house"}, {}),
+    "bias": ({"--graph": "house"}, {}),
+    "overlap": ({"--graph": "house", "--graph2": "bistar"}, {}),
+    "balanced": ({}, {"max_n": 5}),
+    "schmidt": ({"--graph": "house", "--part-a": "1"}, {}),
+    "localize": ({"--graph": "house", "--part-a": "1"}, {"errors": "", "seed": 0}),
+    "verify": ({}, {"max_n": 8, "samples": 30, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("command", list(_PARSER_PINS))
+def test_each_command_parses_as_pinned(capsys, command):
+    required, defaults = _PARSER_PINS[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: graphstates {command} ")
+    argv = [command] + [word for pair in required.items() for word in pair]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    del parsed["handler"]
+    given = {flag[2:].replace("-", "_"): value for flag, value in required.items()}
+    assert parsed == {"command": command, "format": "text", **given, **defaults}
+    # leaving out all of the required flags, and each one alone
+    for missing in {tuple(required), *((flag,) for flag in required)} if required else ():
+        kept = [word for flag, value in required.items() if flag not in missing
+                for word in (flag, value)]
+        assert run([command] + kept) == 2
+        message = "error: the following arguments are required: " + ", ".join(missing)
+        assert capsys.readouterr() == ("", message + "\n")
+
+
 _REUSE_SEQUENCE = [
     ["bias"],
     ["localize", "--graph", "house", "--part-a", "1", "--seed", "5"],

@@ -1,6 +1,7 @@
 """Graph constructors and serialization."""
 
 import random
+import re
 
 import pytest
 
@@ -56,7 +57,7 @@ def test_named_families():
     assert named("path:4").edges() == ((1, 2), (2, 3), (3, 4))
     assert named("complete:4").edge_count() == 6
     assert named("empty:5").edge_count() == 0
-    assert named("star:5").neighbors(1) == 0b11110
+    assert named("star:5").adj[0] == 0b11110
 
 
 def test_named_rejects_unknown():
@@ -123,6 +124,32 @@ def test_graph6_rejects_malformed():
         parse_graph6("\x1f??")  # header below printable range
     with pytest.raises(ValueError):
         parse_graph6("~??")  # long form
+
+
+@pytest.mark.parametrize("n", range(1, MAX_VERTICES + 1))
+def test_graph6_roundtrip_every_size(n):
+    rng = random.Random(n)
+    for g in (named(f"empty:{n}"), named(f"complete:{n}"), random_graph(rng, n)):
+        assert parse_graph6(emit_graph6(g)) == g
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("B", "graph6 payload has 0 chars, expected 1"),
+    ("Bww", "graph6 payload has 2 chars, expected 1"),
+    ("B\x7f", "malformed graph6 payload character '\\x7f'"),
+    ("B ", "malformed graph6 payload character ' '"),
+    ("A@", "nonzero padding bits in graph6 payload"),
+    ("B@", "nonzero padding bits in graph6 payload"),
+    ("`" + "?" * 88, "graph6 vertex count 33 out of range 1..32"),
+    ("?", "graph6 vertex count 0 out of range 1..32"),
+    ("\x1f??", "malformed graph6 header '\\x1f'"),
+    ("~??", "long-form graph6 sizes are not supported (n > 62)"),
+])
+def test_graph6_error_messages(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_graph6(text)
 
 
 def test_edge_list_roundtrip():

@@ -6,15 +6,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import all_graphs, random_graph
-from reference import PauliStabilizer, apply_pauli, string_to_mask
+from reference import PauliStabilizer, apply_pauli, string_to_mask, x_distribution
 from graphstates.gf2 import contains, mask_of
 from graphstates.graphs import Bipartition, from_edges, named
 from graphstates.localize import DecodingTie, decode, extract_code, simulate
-from graphstates.oracle import (
-    dense_state_z,
-    dense_to_x,
-    x_distribution,
-)
+from graphstates.oracle import dense_state_z, dense_to_x
 from graphstates.schmidt import partition_groups, schmidt_vectors
 from graphstates.xchains import xchain_group
 

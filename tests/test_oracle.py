@@ -16,6 +16,7 @@ from reference import (
     norm_squared_is_unit,
     scatter,
     string_to_mask,
+    x_distribution,
 )
 from graphstates.bias import DyadicReal
 from graphstates.gf2 import mask_of
@@ -29,7 +30,6 @@ from graphstates.oracle import (
     dense_state_z,
     dense_to_x,
     state_overlap,
-    x_distribution,
 )
 from graphstates.stab import correlation_index, stabilizer_parity
 

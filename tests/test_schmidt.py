@@ -88,13 +88,13 @@ def test_partition_groups_dimension_bookkeeping():
             + list(pg.k_b.rows) + list(pg.k_harpoon.rows)
         )
         assert rref(stacked, n).dim == total
-        assert all(gf2.contains(pg.reps, r) for r in stacked)
+        assert all(gf2.contains(pg.xdata.free_span, r) for r in stacked)
 
 
 def _check_subgroup_definitions(g, part):
-    # brute force over span(reps), independent of the kernel algebra
+    # brute force over span(W), independent of the kernel algebra
     pg = partition_groups(g, part)
-    corr = {w: correlation_index(g, w) for w in iter_span(pg.reps.rows)}
+    corr = {w: correlation_index(g, w) for w in iter_span(pg.xdata.free_span.rows)}
     assert set(iter_span(pg.k_b.rows)) == {w for w, c in corr.items() if not c & part.a}
     assert set(iter_span(pg.k_aa.rows)) == {
         w for w, c in corr.items() if not w & part.b and not c & part.b
