@@ -9,7 +9,7 @@ each run one elimination, and raise ValueError for a width outside
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 MAX_WIDTH = 32
 
@@ -165,21 +165,14 @@ def complement_basis(sub: Basis, sup: Basis) -> Basis:
     return Basis(sup.width, tuple(taken), tuple([(r & -r).bit_length() - 1 for r in taken]))
 
 
-def gray_walk(rows: list[int]) -> Iterator[tuple[int, int]]:
-    """Walk span(rows) in Gray order, one row per step, from the zero vector.
+def span(rows: Iterable[int]) -> list[int]:
+    """All XOR combinations of the rows, built by doubling from [0].
 
-    Yields (i, v) after row i has been XORed into the running vector v, so
-    the 2^len(rows) - 1 steps visit every nonzero combination once when the
-    rows are independent.  The starting zero vector is not yielded.
+    Entry j is the XOR of the rows at the set bits of j, so the spans of
+    two equally long row lists line up entry by entry.  Dependent rows
+    repeat entries.
     """
-    cur = 0
-    for t in range(1, 1 << len(rows)):
-        i = (t & -t).bit_length() - 1
-        cur ^= rows[i]
-        yield i, cur
-
-
-def iter_span(rows: Iterable[int]) -> Iterator[int]:
-    """All 2^k XOR combinations of the given independent rows, Gray order."""
-    yield 0
-    yield from (v for _, v in gray_walk(list(rows)))
+    out = [0]
+    for r in rows:
+        out += [v ^ r for v in out]
+    return out

@@ -46,11 +46,11 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
     """Codewords of the A-side Schmidt strings, with their Hamming distance.
 
     Requires every A-side Schmidt vector to be a single X-basis string.
-    The words are x_Gamma + A xi restricted to A, an affine code, so one
-    Gray walk over the crossing labels gives every word and the least
-    pairwise distance, the least weight of a nonzero difference A xi; a
-    single codeword gets the sentinel distance |A| + 1.  The 2^k words,
-    k the cut rank, are refused before the walk when k > EXPANSION_LIMIT.
+    The words are x_Gamma + A xi restricted to A, an affine code, so the
+    spans of the crossing labels and of their differences A xi line up as
+    the (label, word) pairs; the least pairwise distance is the least weight
+    of a nonzero difference, or |A| + 1 for one codeword.  The 2^k words,
+    k the cut rank, are refused before any span when k > EXPANSION_LIMIT.
     """
     pg = partition_groups(g, part)
     for name, basis in (("inside-A subgroup", pg.k_aa), ("detached-A subgroup", pg.k_simb)):
@@ -67,14 +67,10 @@ def extract_code(g: Graph, part: Bipartition) -> LocalizationCode:
         )
     pos_a = part.a_positions()
     rows = pg.k_harpoon.rows
-    diffs = [gf2.restrict(correlation_index(g, r), pos_a) for r in rows]
+    diffs = gf2.span([gf2.restrict(correlation_index(g, r), pos_a) for r in rows])
     base = gf2.restrict(pg.xdata.x_gamma, pos_a)
-    words, label, distance = [(0, base)], 0, len(pos_a) + 1
-    for i, diff in gf2.gray_walk(diffs):
-        label ^= rows[i]
-        words.append((label, base ^ diff))
-        distance = min(distance, diff.bit_count())
-    words.sort()
+    words = sorted(zip(gf2.span(rows), [base ^ d for d in diffs]))
+    distance = min((d.bit_count() for d in diffs[1:]), default=len(pos_a) + 1)
     if distance == 0:
         raise AssertionError("codewords are not pairwise distinct")
     return LocalizationCode(pg, gf2.vertices_of(part.a), tuple(words), distance)

@@ -164,7 +164,7 @@ def schmidt_decomposition(g: Graph, part: Bipartition) -> SchmidtDecomposition:
             f"(2^{pg.a_group.dim} + 2^{pg.k_b.dim}) factor terms; "
             f"capped at 2^{EXPANSION_LIMIT}"
         )
-    terms = _schmidt_terms(g, pg, sorted(gf2.iter_span(pg.k_harpoon.rows)))
+    terms = _schmidt_terms(g, pg, sorted(gf2.span(pg.k_harpoon.rows)))
     return SchmidtDecomposition(
         part, DyadicReal(1, pg.k_harpoon.dim), tuple(terms), global_sign(g, pg.xdata)
     )

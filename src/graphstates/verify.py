@@ -20,7 +20,7 @@ def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list
     sx = oracle.dense_to_x(sz).reduced()
     xd = xchains.factorize(g)
     # (a) symbolic X-chain group vs brute-force scan
-    if set(gf2.iter_span(xd.gamma.rows)) != oracle.brute_xchains(g):
+    if set(gf2.span(xd.gamma.rows)) != oracle.brute_xchains(g):
         mismatches.append(f"xchain-group {tag}")
     # (b) X-basis expansion vs dense transform, global sign included
     e = xchains.x_representation(g, xd)

@@ -140,22 +140,18 @@ def correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpa
     if k.dim > EXPANSION_LIMIT:
         raise ValueError(f"expansion has 2^{k.dim} terms; capped at 2^{EXPANSION_LIMIT}")
     x_gamma = xd.x_gamma
-    parity = stabilizer_parity(g, xi)
-    corr = correlation_index(g, xi)
-    terms = {x_gamma ^ corr: parity}
-    row_parity = [stabilizer_parity(g, r) for r in k.rows]
-    row_corr = [correlation_index(g, r) for r in k.rows]
-    for i, v in gf2.gray_walk(k.rows):
-        # adding row r to x multiplies the parity by parity(r) * (-1)^(x.Ar);
-        # x.Ar is the same before and after the step because r.Ar = 0
-        parity *= row_parity[i] * (-1 if gf2.dot(xi ^ v, row_corr[i]) else 1)
-        corr ^= row_corr[i]
-        mask = x_gamma ^ corr
-        if mask in terms:
-            raise ValueError(
-                "term collision: the subgroup meets the X-chain group nontrivially"
-            )
-        terms[mask] = parity
+    masks = [x_gamma ^ correlation_index(g, xi)]
+    signs = [stabilizer_parity(g, xi)]
+    for r in k.rows:
+        # adding r to x multiplies the parity by parity(r) * (-1)^(x.Ar), and
+        # x.Ar = r.Ax = r.(m + x_Gamma) for the term mask m, as A is symmetric
+        pr = stabilizer_parity(g, r) * (-1 if gf2.dot(x_gamma, r) else 1)
+        signs += [-s * pr if (m & r).bit_count() & 1 else s * pr for m, s in zip(masks, signs)]
+        cr = correlation_index(g, r)
+        masks += [m ^ cr for m in masks]
+    terms = dict(zip(masks, signs))
+    if len(terms) < len(signs):
+        raise ValueError("term collision: the subgroup meets the X-chain group nontrivially")
     return XBasisExpansion(tuple(range(1, g.n + 1)), k.dim, terms)
 
 
@@ -188,7 +184,7 @@ def measurement_support(g: Graph, xd: XChainData | None = None) -> list[tuple[in
     # x_Gamma + the span of the correlation images of the free singletons
     adj, x_gamma = g.adj, xd.x_gamma
     images = [adj[v - 1] for v in xd.kappa]
-    return sorted((x_gamma ^ c, prob) for c in gf2.iter_span(images))
+    return sorted((x_gamma ^ c, prob) for c in gf2.span(images))
 
 
 def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:

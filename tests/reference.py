@@ -3,8 +3,8 @@
 Slow or roundabout on purpose: each one checks a library result by a
 different route (dense Pauli action, brute-force relabeling, a 2^|K|
 sign sum, Schmidt factors built label by label, the graph's stabilizers
-applied term by term, a column-scan GF(2) elimination) or builds test
-input (bit strings, edge-list text).
+applied term by term, a column-scan GF(2) elimination, a Gray-code walk
+of a span) or builds test input (bit strings, edge-list text).
 It also holds the stabilizer algebra the library does not need: Pauli
 stabilizers in X-then-Z normal form, their generators and products, the
 cut-parity bilinear form, and the dense Born distribution of full
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from graphstates import gf2
 from graphstates.bias import bias_degree
@@ -30,7 +30,12 @@ from graphstates.oracle import (
     dense_to_x,
 )
 from graphstates.stab import correlation_index, stabilizer_parity
-from graphstates.xchains import XBasisExpansion, correlation_state
+from graphstates.xchains import (
+    EXPANSION_LIMIT,
+    XBasisExpansion,
+    XChainData,
+    correlation_state,
+)
 
 
 def column_scan_rref(rows, width: int) -> Basis:
@@ -286,3 +291,45 @@ def is_stabilized(g: Graph, e: XBasisExpansion) -> bool:
         for m, s in e.terms.items()
         for v in range(g.n)
     )
+
+
+def gray_walk(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """Walk span(rows) in Gray order, one row per step, from the zero vector.
+
+    Yields (i, v) after row i has been XORed into the running vector v, so
+    the 2^len(rows) - 1 steps visit every nonzero combination once when the
+    rows are independent.  The starting zero vector is not yielded.
+    """
+    cur = 0
+    for t in range(1, 1 << len(rows)):
+        i = (t & -t).bit_length() - 1
+        cur ^= rows[i]
+        yield i, cur
+
+
+def gray_correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasisExpansion:
+    """Uniform superposition of the product-state terms over xi + span(k).
+
+    The reference for xchains.correlation_state: walks span(k) in Gray
+    order, one row per step, and carries the parity along the walk.
+    """
+    if k.dim > EXPANSION_LIMIT:
+        raise ValueError(f"expansion has 2^{k.dim} terms; capped at 2^{EXPANSION_LIMIT}")
+    x_gamma = xd.x_gamma
+    parity = stabilizer_parity(g, xi)
+    corr = correlation_index(g, xi)
+    terms = {x_gamma ^ corr: parity}
+    row_parity = [stabilizer_parity(g, r) for r in k.rows]
+    row_corr = [correlation_index(g, r) for r in k.rows]
+    for i, v in gray_walk(k.rows):
+        # adding row r to x multiplies the parity by parity(r) * (-1)^(x.Ar);
+        # x.Ar is the same before and after the step because r.Ar = 0
+        parity *= row_parity[i] * (-1 if gf2.dot(xi ^ v, row_corr[i]) else 1)
+        corr ^= row_corr[i]
+        mask = x_gamma ^ corr
+        if mask in terms:
+            raise ValueError(
+                "term collision: the subgroup meets the X-chain group nontrivially"
+            )
+        terms[mask] = parity
+    return XBasisExpansion(tuple(range(1, g.n + 1)), k.dim, terms)

@@ -21,9 +21,9 @@ from graphstates.bias import DyadicReal, enumerate_balanced
 from graphstates.cli import run_verification
 from graphstates.gf2 import (
     contains,
-    iter_span,
     mask_of,
     rref,
+    span,
 )
 from graphstates.graphs import Bipartition, from_edges, named
 from graphstates.localize import decode, extract_code
@@ -207,7 +207,7 @@ def test_criterion_7_balanced_catalog():
             g = entry.graph
             seen_c5 = seen_c5 or g == canon_c5
             assert dense_overlap(g, named(f"empty:{n}")) == DyadicReal.zero()
-            assert entry.witness in set(iter_span(xchain_group(g).rows))
+            assert entry.witness in set(span(xchain_group(g).rows))
             assert entry.witness_edge_count % 2 == 1
             assert stabilizer_parity(g, entry.witness) == -1
     assert seen_c5
@@ -251,8 +251,8 @@ def test_criterion_8_appendix_lemma_suite():
             if s not in chosen and rng.getrandbits(1):
                 xi ^= s
         state = dense_from_expansion(correlation_state(g, xd, k, xi))
-        for gamma in iter_span(xd.gamma.rows):
-            for kappa in iter_span(k.rows):
+        for gamma in span(xd.gamma.rows):
+            for kappa in span(k.rows):
                 assert check_stabilizer(state, induced_stabilizer(g, gamma ^ kappa))
         # splitting identity: state over k1+k2 is the shifted sum over k2
         if len(singles) >= 2:
@@ -260,7 +260,7 @@ def test_criterion_8_appendix_lemma_suite():
             k1, k2 = rref(singles[:cut], n), rref(singles[cut:], n)
             combined = correlation_state(g, xd, rref(singles, n), 0)
             merged = {}
-            for shift in iter_span(k2.rows):
+            for shift in span(k2.rows):
                 part = correlation_state(g, xd, k1, shift)
                 for mask, sign in part.terms.items():
                     assert mask not in merged
@@ -272,7 +272,7 @@ def test_criterion_8_appendix_lemma_suite():
                 pg = partition_groups(g, Bipartition(n, a, ((1 << n) - 1) & ~a))
                 vecs = [
                     schmidt_vectors(g, pg, label)
-                    for label in iter_span(pg.k_harpoon.rows)
+                    for label in span(pg.k_harpoon.rows)
                 ]
                 for i, (_, a1, b1) in enumerate(vecs):
                     assert sum(s * s for s in a1.terms.values()) == 1 << a1.half_log_norm

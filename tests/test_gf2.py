@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from reference import column_scan_rref, scatter, string_to_mask, two_pass_kernel
+from reference import column_scan_rref, gray_walk, scatter, string_to_mask, two_pass_kernel
 from graphstates import gf2
 from graphstates.gf2 import (
+    MAX_WIDTH,
     complement_basis,
     contains,
-    iter_span,
     kernel,
     rref,
+    span,
 )
 
 
@@ -71,8 +72,8 @@ def test_complement_line_in_full_3space():
     assert comp.dim == 2
     # span(sub) + span(comp) covers all 8 subsets, one per (s, c) pair
     seen = set()
-    for s in iter_span(sub.rows):
-        for c in iter_span(comp.rows):
+    for s in span(sub.rows):
+        for c in span(comp.rows):
             seen.add(s ^ c)
     assert seen == set(range(8))
 
@@ -177,12 +178,12 @@ def test_complement_unique_decomposition_exhaustive():
         sub = rref(sub_rows, w)
         comp = complement_basis(sub, sup)
         decomp = {}
-        for s in iter_span(sub.rows):
-            for c in iter_span(comp.rows):
+        for s in span(sub.rows):
+            for c in span(comp.rows):
                 v = s ^ c
                 assert v not in decomp, "decomposition is not unique"
                 decomp[v] = (s, c)
-        assert set(decomp) == set(iter_span(sup.rows))
+        assert set(decomp) == set(span(sup.rows))
 
 
 def test_basis_is_canonical_value():
@@ -208,14 +209,26 @@ def test_mask_to_string_matches_bitwise_definition():
             assert gf2.mask_to_string(mask, width) == expect
 
 
-def test_gray_walk_flips_one_row_per_step():
-    rows = [0b0011, 0b0110, 0b1000]
-    prev = 0
-    for i, v in gf2.gray_walk(rows):
-        assert v == prev ^ rows[i]
-        prev = v
-    span = {a ^ b ^ c for a in (0, 3) for b in (0, 6) for c in (0, 8)}
-    assert sorted(iter_span(rows)) == sorted(span)
+def xor_at_bits(rows, j):
+    out = 0
+    for i, r in enumerate(rows):
+        if (j >> i) & 1:
+            out ^= r
+    return out
+
+
+def test_span_entry_j_xors_the_rows_at_the_bits_of_j():
+    rng = random.Random(26)
+    for _ in range(300):
+        width = rng.randrange(MAX_WIDTH + 1)
+        rows = [rng.getrandbits(width) for _ in range(rng.randrange(7))]
+        if rows and rng.random() < 0.5:
+            # a dependent row: the XOR of a random subset of the others
+            dependent = xor_at_bits(rows, rng.getrandbits(len(rows)))
+            rows.insert(rng.randrange(len(rows) + 1), dependent)
+        out = span(rows)
+        assert out == [xor_at_bits(rows, j) for j in range(1 << len(rows))]
+        assert set(out) == {0} | {v for _, v in gray_walk(rows)}
 
 
 def test_mask_string_roundtrip():

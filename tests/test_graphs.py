@@ -163,6 +163,31 @@ def test_edge_list_roundtrip():
         parse_edge_list("2\n1 2 3")
 
 
+@pytest.mark.parametrize("n", range(1, MAX_VERTICES + 1))
+def test_edge_list_roundtrip_every_size(n):
+    rng = random.Random(n)
+    for g in (named(f"empty:{n}"), named(f"complete:{n}"), random_graph(rng, n)):
+        assert parse_edge_list(emit_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge-list input"),
+    ("# only a comment\n\n", "empty edge-list input"),
+    ("three\n", "bad vertex count line 'three'"),
+    ("0\n", "vertex count 0 out of range 1..32"),
+    ("33\n", "vertex count 33 out of range 1..32"),
+    ("2\n1 2 3", "bad edge line '1 2 3'"),
+    ("2\n1", "bad edge line '1'"),
+    ("2\n1 x", "bad edge line '1 x'"),
+    ("2\n1 3", "edge (1,3) out of range for n=2"),
+    ("2\n0 1", "edge (0,1) out of range for n=2"),
+    ("2\n2 2", "self-loop (2,2) rejected"),
+])
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_edge_list(text)
+
+
 def test_constructors_keep_adjacency_invariants():
     rng = random.Random(12)
     for g in [named("house"), named("bistar"), random_graph(rng, 8)]:

@@ -86,11 +86,11 @@ def test_code_refused_by_cut_rank_before_the_walk(monkeypatch, capsys):
     monkeypatch.setattr(localize, "EXPANSION_LIMIT", 3)
     assert len(extract_code(g, part).codewords) == 8
 
-    def no_walk(rows):
-        raise AssertionError("gray_walk must not run")
+    def no_span(rows):
+        raise AssertionError("span must not run")
 
     monkeypatch.setattr(localize, "EXPANSION_LIMIT", 2)
-    monkeypatch.setattr(gf2, "gray_walk", no_walk)
+    monkeypatch.setattr(gf2, "span", no_span)
     with pytest.raises(ValueError, match=r"cut rank k=3 has 2\^3 codewords; capped at 2\^2"):
         extract_code(g, part)
     argv = ["localize", "--graph", "g6:" + emit_graph6(g), "--part-a", "1,2,3"]

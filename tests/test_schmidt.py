@@ -14,7 +14,7 @@ from reference import (
 )
 from graphstates import gf2
 from graphstates.bias import DyadicReal
-from graphstates.gf2 import iter_span, mask_of, rref
+from graphstates.gf2 import mask_of, rref, span
 from graphstates.graphs import Bipartition, Graph, named
 from graphstates.oracle import dense_schmidt_rank, dense_state_z, dense_to_x
 from graphstates.schmidt import (
@@ -94,12 +94,12 @@ def test_partition_groups_dimension_bookkeeping():
 def _check_subgroup_definitions(g, part):
     # brute force over span(W), independent of the kernel algebra
     pg = partition_groups(g, part)
-    corr = {w: correlation_index(g, w) for w in iter_span(pg.xdata.free_span.rows)}
-    assert set(iter_span(pg.k_b.rows)) == {w for w, c in corr.items() if not c & part.a}
-    assert set(iter_span(pg.k_aa.rows)) == {
+    corr = {w: correlation_index(g, w) for w in span(pg.xdata.free_span.rows)}
+    assert set(span(pg.k_b.rows)) == {w for w, c in corr.items() if not c & part.a}
+    assert set(span(pg.k_aa.rows)) == {
         w for w, c in corr.items() if not w & part.b and not c & part.b
     }
-    assert set(iter_span(pg.a_group.rows)) == {
+    assert set(span(pg.a_group.rows)) == {
         w for w, c in corr.items()
         if not c & part.b and all(cut_parity(g, w, beta) == 0 for beta in pg.k_b.rows)
     }
@@ -195,7 +195,7 @@ def _inner(e1, e2):
 
 def _check_orthonormal(g, part):
     pg = partition_groups(g, part)
-    vecs = [schmidt_vectors(g, pg, xi) for xi in iter_span(pg.k_harpoon.rows)]
+    vecs = [schmidt_vectors(g, pg, xi) for xi in span(pg.k_harpoon.rows)]
     for i, (_, a1, b1) in enumerate(vecs):
         assert _inner(a1, a1) == 1 << a1.half_log_norm
         assert _inner(b1, b1) == 1 << b1.half_log_norm
@@ -318,7 +318,7 @@ def test_translated_factors_match_per_label_construction_exhaustive_n5():
         for g in all_graphs(n):
             for a in range(1, (1 << n) - 1):
                 pg = partition_groups(g, Bipartition(n, a, ((1 << n) - 1) & ~a))
-                for xi in iter_span(pg.k_harpoon.rows):
+                for xi in span(pg.k_harpoon.rows):
                     assert schmidt_vectors(g, pg, xi) == per_label_schmidt_vectors(g, pg, xi)
 
 
@@ -336,7 +336,7 @@ def test_translated_factors_match_per_label_construction_to_n32():
             if (1 << pg.k_harpoon.dim) * ((1 << pg.a_group.dim) + (1 << pg.k_b.dim)) >= 1 << 12:
                 continue
             dec = schmidt_decomposition(g, part)
-            assert [t.label for t in dec.terms] == sorted(iter_span(pg.k_harpoon.rows))
+            assert [t.label for t in dec.terms] == sorted(span(pg.k_harpoon.rows))
             for t in dec.terms:
                 expected = per_label_schmidt_vectors(g, pg, t.label)
                 assert schmidt_vectors(g, pg, t.label) == expected

@@ -7,15 +7,17 @@ import pytest
 
 from helpers import all_graphs, gnp_graph, random_graph
 from reference import (
+    apply_permutation,
     check_stabilizer,
     dense_from_expansion,
+    gray_correlation_state,
     induced_stabilizer,
     parity_sum_sign,
     string_to_mask,
 )
 from graphstates import gf2
-from graphstates.gf2 import iter_span, mask_of, rref
-from graphstates.graphs import from_edges, named
+from graphstates.gf2 import mask_of, rref, span
+from graphstates.graphs import Graph, from_edges, named
 from graphstates.oracle import (
     brute_xchains,
     dense_state_z,
@@ -35,7 +37,7 @@ from graphstates.xchains import (
 
 
 def span_set(basis):
-    return set(iter_span(basis.rows))
+    return set(span(basis.rows))
 
 
 def expect_terms(entries):
@@ -146,8 +148,12 @@ def test_correlation_state_collision_rejected():
     g = named("k4minus1")
     xd = factorize(g)
     overlapping = rref([mask_of([2, 4])], 4)  # an X-chain: collides
-    with pytest.raises(ValueError):
-        correlation_state(g, xd, overlapping, 0)
+    # neither row is an X-chain, but their sum {2, 4} is
+    pair = rref([mask_of([2]), mask_of([4])], 4)
+    shifted = [(overlapping, mask_of([1, 3])), (pair, mask_of([3]))]
+    for k, xi in [(overlapping, 0), (pair, 0)] + shifted:
+        with pytest.raises(ValueError, match="term collision"):
+            correlation_state(g, xd, k, xi)
 
 
 def test_x_representation_fixtures():
@@ -236,7 +242,7 @@ def test_parity_homomorphism_on_xchain_span():
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 9))
         rows = xchain_group(g).rows
-        elems = list(iter_span(rows))
+        elems = list(span(rows))
         for g1 in elems:
             for g2 in elems:
                 assert stabilizer_parity(g, g1 ^ g2) == stabilizer_parity(
@@ -313,13 +319,51 @@ def test_expansion_splitting_identity():
         xi = 0
         combined = correlation_state(g, xd, k12, xi)
         terms = {}
-        for shift in iter_span(k2.rows):
+        for shift in span(k2.rows):
             part = correlation_state(g, xd, k1, xi ^ shift)
             for mask, sign in part.terms.items():
                 assert mask not in terms
                 terms[mask] = sign
         assert combined.terms == terms
         assert combined.half_log_norm == k1.dim + k2.dim
+
+
+def low_rank_graph(rng, n, rank):
+    """Random graph on n vertices whose adjacency has rank at most `rank`.
+
+    A random graph on min(n, rank) vertices grows by false twins (a new
+    vertex copies an old one's neighbourhood, which leaves the rank as it
+    is) and isolated vertices, and is then relabeled at random.
+    """
+    m = min(n, rank)
+    adj = list(random_graph(rng, m).adj) + [0] * (n - m)
+    for w in range(m, n):
+        if rng.random() < 0.8:
+            adj[w] = adj[rng.randrange(w)]
+            for u in gf2.vertices_of(adj[w]):
+                adj[u - 1] |= 1 << w
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return apply_permutation(Graph(n, tuple(adj)), tuple(perm))
+
+
+def test_correlation_state_matches_gray_walk_reference():
+    # free-span expansions up to the width, and shifted sub-spans of them
+    rng = random.Random(26)
+    for _ in range(120):
+        n = rng.randrange(1, 33)
+        g = low_rank_graph(rng, n, 14)
+        xd = factorize(g)
+        assert len(xd.kappa) <= 14
+        free = xd.free_span
+        free_mask = sum(free.rows)
+        sub = rref([rng.getrandbits(n) & free_mask for _ in range(rng.randrange(free.dim + 1))], n)
+        for k, xi in [(free, 0), (sub, rng.getrandbits(n))]:
+            got = correlation_state(g, xd, k, xi)
+            want = gray_correlation_state(g, xd, k, xi)
+            assert (got.qubits, got.half_log_norm, got.terms) == (
+                want.qubits, want.half_log_norm, want.terms
+            )
 
 
 def test_correlation_states_are_stabilized():
@@ -339,8 +383,8 @@ def test_correlation_states_are_stabilized():
                 xi ^= s
         e = correlation_state(g, xd, k, xi)
         state = dense_from_expansion(e)
-        for gamma in iter_span(xd.gamma.rows):
-            for kappa in iter_span(k.rows):
+        for gamma in span(xd.gamma.rows):
+            for kappa in span(k.rows):
                 assert check_stabilizer(state, induced_stabilizer(g, gamma ^ kappa))
 
 
