@@ -8,7 +8,6 @@ assertions downstream are exact equalities.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
@@ -95,7 +94,7 @@ def dense_overlap(g: Graph, h: Graph) -> DyadicReal:
 
 
 def _bareiss_rank(mat: list[list[int]]) -> int:
-    """Exact integer matrix rank by fraction-free Gaussian elimination."""
+    """Exact integer matrix rank by Bareiss elimination, whose divisions are exact."""
     if not mat:
         return 0
     mat = [row[:] for row in mat]
@@ -173,11 +172,3 @@ def brute_xchains(g: Graph) -> set[int]:
     for nbrs in g.adj:
         corr += [c ^ nbrs for c in corr]
     return {mask for mask, c in enumerate(corr) if c == 0}
-
-
-def born_distribution(s: DenseState) -> dict[int, Fraction]:
-    """Exact Born distribution of a dense state, nonzero outcomes only."""
-    denom = 1 << s.scale
-    prob = {a * a: Fraction(a * a, denom) for a in set(s.amps) if a}
-    return {mask: prob[a * a] for mask, a in enumerate(s.amps) if a}
-

@@ -4,6 +4,9 @@ Each graph's Z-basis state and its Hadamard transform are built once and
 feed every dense check; only the overlap check builds a second state, for
 its random partner.  Likewise the graph is factorized once for every
 symbolic check, and the overlap factorizes its symmetric difference.
+Check (e) reads the X-measurement support off that factorization: the
+2^|K| possible outcomes m are equally likely, and m + x_Gamma has even
+overlap with every X-chain generator, since im A = ker A^perp.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list
                 notes.append(f"nonempty detached subgroup {tag} A={a:b}")
             if (1 << pg.k_harpoon.dim) != oracle.state_schmidt_rank(sz, part):
                 mismatches.append(f"schmidt-rank {tag} A={a:b}")
-    # (e) measurement support vs Born distribution
-    if dict(xchains.measurement_support(g, xd)) != oracle.born_distribution(sx):
+    # (e) X-measurement support vs the X-chain parity rule
+    k, x_gamma = len(xd.kappa), xd.x_gamma
+    if (
+        len(dense_terms) != 1 << k
+        or any(a * a << k != 1 << sx.scale for a in dense_terms.values())
+        or any(gf2.dot(m ^ x_gamma, row) for m in dense_terms for row in xd.gamma.rows)
+    ):
         mismatches.append(f"measurement-support {tag}")
 
 

@@ -9,7 +9,6 @@ strings, where K is the set of free (non-pivot) vertices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import gf2
@@ -169,28 +168,3 @@ def x_representation(g: Graph, xd: XChainData | None = None) -> XBasisExpansion:
     if global_sign(g, xd) < 0:
         e = e._replace(terms={mask: -s for mask, s in e.terms.items()})
     return e
-
-
-def measurement_support(g: Graph, xd: XChainData | None = None) -> list[tuple[int, Fraction]]:
-    """Nonzero full-X-measurement outcomes with their exact probabilities; xd if known."""
-    if xd is None:
-        xd = factorize(g)
-    if len(xd.kappa) > EXPANSION_LIMIT:
-        raise ValueError(
-            f"measurement support has 2^{len(xd.kappa)} outcomes; "
-            f"capped at 2^{EXPANSION_LIMIT}"
-        )
-    prob = Fraction(1, 1 << len(xd.kappa))
-    # x_Gamma + the span of the correlation images of the free singletons
-    adj, x_gamma = g.adj, xd.x_gamma
-    images = [adj[v - 1] for v in xd.kappa]
-    return sorted((x_gamma ^ c, prob) for c in gf2.span(images))
-
-
-def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:
-    """X-measurement outcomes possible for exactly one of the two states."""
-    if g.n != h.n:
-        raise ValueError("graphs have different vertex counts")
-    sg = {mask for mask, _ in measurement_support(g)}
-    sh = {mask for mask, _ in measurement_support(h)}
-    return sg - sh, sh - sg

@@ -4,7 +4,8 @@ Slow or roundabout on purpose: each one checks a library result by a
 different route (dense Pauli action, brute-force relabeling, a 2^|K|
 sign sum, Schmidt factors built label by label, the graph's stabilizers
 applied term by term, a column-scan GF(2) elimination, a Gray-code walk
-of a span) or builds test input (bit strings, edge-list text).
+of a span, X-measurement supports enumerated with their `Fraction`
+probabilities) or builds test input (bit strings, edge-list text).
 It also holds the stabilizer algebra the library does not need: Pauli
 stabilizers in X-then-Z normal form, their generators and products, the
 cut-parity bilinear form, and the dense Born distribution of full
@@ -22,19 +23,14 @@ from graphstates.bias import bias_degree
 from graphstates.gf2 import MAX_WIDTH, Basis
 from graphstates.graphs import Graph
 from graphstates.schmidt import PartitionGroups
-from graphstates.oracle import (
-    DenseState,
-    _check_size,
-    born_distribution,
-    dense_state_z,
-    dense_to_x,
-)
+from graphstates.oracle import DenseState, _check_size, dense_state_z, dense_to_x
 from graphstates.stab import correlation_index, stabilizer_parity
 from graphstates.xchains import (
     EXPANSION_LIMIT,
     XBasisExpansion,
     XChainData,
     correlation_state,
+    factorize,
 )
 
 
@@ -112,6 +108,13 @@ def cut_parity(g: Graph, a: int, b: int) -> int:
     is the unique extension consistent with parity multiplication.
     """
     return gf2.dot(a, correlation_index(g, b))
+
+
+def born_distribution(s: DenseState) -> dict[int, Fraction]:
+    """Exact Born distribution of a dense state, nonzero outcomes only."""
+    denom = 1 << s.scale
+    prob = {a * a: Fraction(a * a, denom) for a in set(s.amps) if a}
+    return {mask: prob[a * a] for mask, a in enumerate(s.amps) if a}
 
 
 def x_distribution(g: Graph) -> dict[int, Fraction]:
@@ -333,3 +336,28 @@ def gray_correlation_state(g: Graph, xd: XChainData, k: Basis, xi: int) -> XBasi
             )
         terms[mask] = parity
     return XBasisExpansion(tuple(range(1, g.n + 1)), k.dim, terms)
+
+
+def measurement_support(g: Graph, xd: XChainData | None = None) -> list[tuple[int, Fraction]]:
+    """Nonzero full-X-measurement outcomes with their exact probabilities; xd if known."""
+    if xd is None:
+        xd = factorize(g)
+    if len(xd.kappa) > EXPANSION_LIMIT:
+        raise ValueError(
+            f"measurement support has 2^{len(xd.kappa)} outcomes; "
+            f"capped at 2^{EXPANSION_LIMIT}"
+        )
+    prob = Fraction(1, 1 << len(xd.kappa))
+    # x_Gamma + the span of the correlation images of the free singletons
+    adj, x_gamma = g.adj, xd.x_gamma
+    images = [adj[v - 1] for v in xd.kappa]
+    return sorted((x_gamma ^ c, prob) for c in gf2.span(images))
+
+
+def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:
+    """X-measurement outcomes possible for exactly one of the two states."""
+    if g.n != h.n:
+        raise ValueError("graphs have different vertex counts")
+    sg = {mask for mask, _ in measurement_support(g)}
+    sh = {mask for mask, _ in measurement_support(h)}
+    return sg - sh, sh - sg

@@ -1,7 +1,8 @@
 """Records are immutable named tuples, compared and hashed by value.
 
 The package imports neither `dataclasses` nor `inspect`, which together
-cost a one-shot command such as `bias` about a third of its start-up.
+cost a one-shot command such as `bias` about a third of its start-up, nor
+`fractions`: its exact results are integers and dyadic numbers.
 """
 
 import subprocess
@@ -22,7 +23,7 @@ sys.path.insert(0, sys.argv[1])
 import graphstates.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = graphstates.cli.run(["bias", "--graph", "cycle:8"])
-print(code, sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print(code, sorted({"dataclasses", "fractions", "inspect"} & set(sys.modules)))
 """
 
 

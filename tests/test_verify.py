@@ -1,9 +1,11 @@
-"""The verify harness factorizes each graph once and hands the result on."""
+"""The verify harness factorizes each graph once, hands the result on, and
+reports a corrupted X-basis vector as a measurement-support mismatch."""
 
 import random
 
 from helpers import gnp_graph, random_bipartition_mask
-from graphstates import bias, schmidt, xchains
+from reference import measurement_support
+from graphstates import bias, oracle, schmidt, xchains
 from graphstates.graphs import Bipartition
 from graphstates.verify import run_verification
 
@@ -38,6 +40,56 @@ def test_passed_factorization_gives_the_same_results():
                     part = Bipartition(n, a, ((1 << n) - 1) & ~a)
                     assert schmidt.partition_groups(g, part, xd) == schmidt.partition_groups(g, part)
             if len(xd.kappa) <= 12:
-                assert xchains.measurement_support(g, xd) == xchains.measurement_support(g)
+                assert measurement_support(g, xd) == measurement_support(g)
                 supports += 1
     assert supports > 40
+
+
+def support_mismatches_with_corrupted_transform(monkeypatch, corrupt):
+    """run_verification(4, 0, 0) with each X-basis vector passed through corrupt.
+
+    Returns the number of graphs whose vector corrupt changed and the
+    number of measurement-support mismatches reported.
+    """
+    real = oracle.dense_to_x
+    changed = []
+
+    def corrupted(s):
+        t = real(s)
+        amps = corrupt(list(t.amps))
+        changed.append(amps != t.amps)
+        return t._replace(amps=amps)
+
+    monkeypatch.setattr(oracle, "dense_to_x", corrupted)
+    count, mismatches, _ = run_verification(4, 0, 0)
+    assert count == len(changed) == 75
+    return sum(changed), sum(m.startswith("measurement-support ") for m in mismatches)
+
+
+def move_one_amplitude_onto_a_zero(amps):
+    if 0 in amps:
+        i = next(i for i, a in enumerate(amps) if a)
+        amps[amps.index(0)], amps[i] = amps[i], 0
+    return amps
+
+
+def double_one_amplitude(amps):
+    i = next(i for i, a in enumerate(amps) if a)
+    amps[i] *= 2
+    return amps
+
+
+def test_measurement_support_check_reports_a_moved_amplitude(monkeypatch):
+    changed, reported = support_mismatches_with_corrupted_transform(
+        monkeypatch, move_one_amplitude_onto_a_zero
+    )
+    assert 0 < changed < 75
+    assert reported == changed
+
+
+def test_measurement_support_check_reports_a_doubled_amplitude(monkeypatch):
+    # the support is unchanged; only the amplitude comparison can see it
+    changed, reported = support_mismatches_with_corrupted_transform(
+        monkeypatch, double_one_amplitude
+    )
+    assert reported == changed == 75

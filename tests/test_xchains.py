@@ -10,8 +10,10 @@ from reference import (
     apply_permutation,
     check_stabilizer,
     dense_from_expansion,
+    distinguishing_outcomes,
     gray_correlation_state,
     induced_stabilizer,
+    measurement_support,
     parity_sum_sign,
     string_to_mask,
 )
@@ -27,10 +29,8 @@ from graphstates.stab import correlation_index, stabilizer_parity
 from graphstates.xchains import (
     XChainData,
     correlation_state,
-    distinguishing_outcomes,
     factorize,
     global_sign,
-    measurement_support,
     x_representation,
     xchain_group,
 )
@@ -225,6 +225,49 @@ def test_distinguishing_outcomes_examples():
     only_g, only_h = distinguishing_outcomes(named("star:3"), named("cycle:3"))
     assert only_g == {string_to_mask(b) for b in ("000", "011")}
     assert only_h == {string_to_mask(b) for b in ("010", "001")}
+
+
+def parity_rule_holds(xd, m):
+    """The X-chain parity rule: m + x_Gamma is even on every X-chain generator."""
+    return not any(gf2.dot(m ^ xd.x_gamma, row) for row in xd.gamma.rows)
+
+
+def rule_support(g):
+    """Every outcome on g's vertices that passes the parity rule."""
+    xd = factorize(g)
+    return {m for m in range(1 << g.n) if parity_rule_holds(xd, m)}
+
+
+def test_parity_rule_matches_the_enumerated_support():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            assert rule_support(g) == {m for m, _ in measurement_support(g)}
+    # beyond n = 5 the passing outcomes are x_Gamma + the annihilator of the
+    # X-chain group; random outcomes pass iff they are in the support
+    rng = random.Random(30)
+    for _ in range(60):
+        n = rng.randrange(6, 33)
+        g = low_rank_graph(rng, n, 12)
+        xd = factorize(g)
+        assert len(xd.kappa) <= 12
+        want = {m for m, _ in measurement_support(g, xd)}
+        passing = {xd.x_gamma ^ v for v in span(gf2.kernel(xd.gamma.rows, n).rows)}
+        assert all(parity_rule_holds(xd, m) for m in passing)
+        assert passing == want
+        for _ in range(50):
+            m = rng.getrandbits(n)
+            assert parity_rule_holds(xd, m) == (m in want)
+
+
+def test_parity_rule_differences_match_distinguishing_outcomes():
+    pairs = [(g, h) for n in range(1, 4) for g in all_graphs(n) for h in all_graphs(n)]
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(4, 9)
+        pairs.append((random_graph(rng, n), random_graph(rng, n)))
+    for g, h in pairs:
+        sg, sh = rule_support(g), rule_support(h)
+        assert (sg - sh, sh - sg) == distinguishing_outcomes(g, h)
 
 
 def test_xchain_group_matches_brute_force():
