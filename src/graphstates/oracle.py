@@ -1,14 +1,16 @@
-"""Exact dense statevector reference for cross-checking symbolic results.
+"""Exact dense reference for cross-checking symbolic results.
 
-States are integer amplitude vectors with a power-of-sqrt(2) scale:
-state = amps * 2^(-scale/2).  No floating point is used anywhere; all
-assertions downstream are exact equalities.
+A graph state's Z amplitudes are all +-1, so the state packs into one
+2^n-bit int S, bit m set iff amplitude m is -1, and each check is a
+brute-force sum over it in big-int XORs and popcounts.  The oracle reads
+only the adjacency rows.  `DenseState` is the unpacked form, integer
+amplitudes with state = amps * 2^(-scale/2); no floating point is used.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 from .bias import DyadicReal
@@ -44,18 +46,45 @@ def _check_size(n: int):
         raise ValueError(f"dense oracle is capped at n <= {MAX_DENSE_N}")
 
 
-def dense_state_z(g: Graph) -> DenseState:
-    """Z-basis graph state: amplitude of |xi> is the stabilizer parity of xi.
+@cache
+def _parity_tables(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(h, lo, hi): bit x of lo[m & (2^h - 1)] ^ hi[m >> h] is the parity of m & x.
 
-    Built by doubling: with vertex v added, |m + v> for m below bit v gets
-    the amplitude of |m> times (-1)^|N(v) & m|, the parity of the edges
-    v brings into the induced subgraph.
+    Each half spans its tables T_u (bit x is bit u of x) by doubling; T_u is
+    2^u clear bits then 2^u set bits, doubled by shifts to 2^n bits.
     """
-    _check_size(g.n)
-    amps = [1]
-    for nbrs in g.adj:
-        amps += [-a if (nbrs & m).bit_count() & 1 else a for m, a in enumerate(amps)]
-    return DenseState(g.n, amps, g.n)
+    _check_size(n)
+    h = n // 2
+    lo, hi = [0], [0]
+    for u in range(n):
+        t, w = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while w < 1 << n:
+            t |= t << w
+            w <<= 1
+        half = lo if u < h else hi
+        half += [p ^ t for p in half]
+    return h, tuple(lo), tuple(hi)
+
+
+def _packed_state(adj) -> int:
+    """Sign bits S of the Z-basis graph state on these adjacency rows.
+
+    Built by doubling: with vertex v added, |m + v> for m < 2^v gets the sign
+    of |m> flipped by |N(v) & m| mod 2, bit m of the parity row of N(v) & (2^v - 1).
+    """
+    h, lo, hi = _parity_tables(len(adj))
+    s = 0
+    for v, nbrs in enumerate(adj):
+        m = nbrs & ((1 << v) - 1)
+        s |= ((s ^ lo[m & ((1 << h) - 1)] ^ hi[m >> h]) & ((1 << (1 << v)) - 1)) << (1 << v)
+    return s
+
+
+def dense_state_z(g: Graph) -> DenseState:
+    """Z-basis graph state: amplitude of |xi> is the stabilizer parity of xi."""
+    s = _packed_state(g.adj)
+    bits = bin(s | 1 << (1 << g.n))[:2:-1]
+    return DenseState(g.n, [-1 if b == "1" else 1 for b in bits], g.n)
 
 
 def dense_to_x(s: DenseState) -> DenseState:
@@ -72,92 +101,60 @@ def dense_to_x(s: DenseState) -> DenseState:
     return DenseState(s.n, amps, s.scale + s.n)
 
 
-def state_overlap(s: DenseState, t: DenseState) -> DyadicReal:
-    """Exact inner product of two real dense states of power-of-two norm."""
-    if s.n != t.n:
-        raise ValueError("states have different qubit counts")
-    total = sum(map(operator.mul, s.amps, t.amps))
-    if total == 0:
-        return DyadicReal.zero()
-    sign = 1 if total > 0 else -1
-    mag = abs(total)
-    if mag & (mag - 1):
-        raise AssertionError(f"overlap numerator {total} is not a power of two")
-    # value = sign * 2^j * 2^(-(s.scale + t.scale)/2)
-    j = mag.bit_length() - 1
-    return DyadicReal(sign, s.scale + t.scale - 2 * j)
+def x_amplitudes(g: Graph, masks) -> dict[int, int]:
+    """X-basis amplitudes of the graph state at the given masks, at scale 2n.
+
+    Amplitude m is sum over x of (-1)^(S_x + m.x) = 2^n - 2 |S ^ L_m|, where
+    bit x of L_m is the parity of m & x.  This is `dense_to_x` of the Z
+    state, read at the masks only.
+    """
+    s = _packed_state(g.adj)
+    h, lo, hi = _parity_tables(g.n)
+    low, size = (1 << h) - 1, 1 << g.n
+    return {m: size - 2 * (s ^ lo[m & low] ^ hi[m >> h]).bit_count() for m in masks}
 
 
 def dense_overlap(g: Graph, h: Graph) -> DyadicReal:
-    """Exact inner product of two graph states via their Z-basis vectors."""
-    return state_overlap(dense_state_z(g), dense_state_z(h))
-
-
-def _bareiss_rank(mat: list[list[int]]) -> int:
-    """Exact integer matrix rank by Bareiss elimination, whose divisions are exact."""
-    if not mat:
-        return 0
-    mat = [row[:] for row in mat]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                mat[i][j] = (mat[i][j] * mat[r][c] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
-def _index_table(positions: list[int]) -> list[int]:
-    """Full index of each local index: entry k carries bit i of k at positions[i]."""
-    table = [0]
-    for p in positions:
-        table += [t | 1 << p for t in table]
-    return table
-
-
-def _distinct_up_to_sign(rows) -> list[tuple[int, ...]]:
-    """The rows, with each row equal to an earlier one up to sign dropped.
-
-    A dropped row is a multiple of a kept one, so the rank is unchanged.
-    """
-    kept = {}
-    for row in rows:
-        lead = next(filter(None, row), 0)
-        kept[tuple(row) if lead >= 0 else tuple(map(operator.neg, row))] = None
-    return list(kept)
-
-
-def state_schmidt_rank(s: DenseState, part: Bipartition) -> int:
-    """Exact rank of the amplitude matrix reshaped along the bipartition."""
-    if part.n != s.n:
-        raise ValueError("bipartition size does not match the state")
-    amps = s.amps
-    cols = _index_table(part.b_positions())
-    rows = _distinct_up_to_sign(
-        [amps[r | c] for c in cols] for r in _index_table(part.a_positions())
-    )
-    return _bareiss_rank([list(col) for col in _distinct_up_to_sign(zip(*rows))])
+    """Exact inner product of two graph states: (2^n - 2 |S_g ^ S_h|) / 2^n."""
+    if g.n != h.n:
+        raise ValueError("states have different qubit counts")
+    total = (1 << g.n) - 2 * (_packed_state(g.adj) ^ _packed_state(h.adj)).bit_count()
+    if total == 0:
+        return DyadicReal.zero()
+    mag = abs(total)
+    if mag & (mag - 1):
+        raise AssertionError(f"overlap numerator {total} is not a power of two")
+    # |value| = mag * 2^-n, with mag = 2^(bit_length - 1)
+    return DyadicReal(1 if total > 0 else -1, 2 * (g.n + 1 - mag.bit_length()))
 
 
 def dense_schmidt_rank(g: Graph, part: Bipartition) -> int:
-    """Exact rank of the graph state's amplitude matrix along the bipartition."""
-    return state_schmidt_rank(dense_state_z(g), part)
+    """Exact rank of the graph state's amplitude matrix along the bipartition.
+
+    Relabeled with the larger side C in the low bits, S is cut into rows of
+    2^|C| signs, each flipped to a clear bit 0 so rows equal up to sign
+    coincide.  The distinct rows must be pairwise orthogonal (differ in half
+    their bits); then their count is the rank.
+    """
+    if part.n != g.n:
+        raise ValueError("bipartition size does not match the state")
+    c = part.b if part.b.bit_count() >= part.a.bit_count() else part.a
+    order = [v for v in range(g.n) if c >> v & 1] + [v for v in range(g.n) if not c >> v & 1]
+    adj = [sum(1 << i for i, u in enumerate(order) if g.adj[v] >> u & 1) for v in order]
+    s = _packed_state(adj)
+    width = 1 << c.bit_count()
+    full = (1 << width) - 1
+    rows = set()
+    for _ in range(1 << (g.n - c.bit_count())):
+        x = s & full
+        rows.add(x ^ full if x & 1 else x)
+        s >>= width
+    rows = list(rows)
+    for i, x in enumerate(rows):
+        for y in rows[i + 1:]:
+            if (x ^ y).bit_count() != width >> 1:
+                raise AssertionError("distinct amplitude rows are not orthogonal")
+    return len(rows)
 
 
 def brute_xchains(g: Graph) -> set[int]:

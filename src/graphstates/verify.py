@@ -1,12 +1,12 @@
 """The verify harness: every symbolic result against the dense oracle.
 
-Each graph's Z-basis state and its Hadamard transform are built once and
-feed every dense check; only the overlap check builds a second state, for
-its random partner.  Likewise the graph is factorized once for every
-symbolic check, and the overlap factorizes its symmetric difference.
-Check (e) reads the X-measurement support off that factorization: the
-2^|K| possible outcomes m are equally likely, and m + x_Gamma has even
-overlap with every X-chain generator, since im A = ker A^perp.
+The oracle side is the packed +-1 state, checked at the expansion's own
+terms, where Parseval rules out any other.  The graph is factorized once
+for every symbolic check, and the overlap factorizes its symmetric
+difference.  Check (e) reads the X-measurement support off that
+factorization: the 2^|K| possible outcomes m are equally likely, and
+m + x_Gamma has even overlap with every X-chain generator, since
+im A = ker A^perp.
 """
 
 from __future__ import annotations
@@ -19,20 +19,22 @@ from .graphs import Bipartition, Graph, all_graphs, emit_graph6, random_graph
 
 def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list[str]):
     tag = f"n={g.n} g6={emit_graph6(g)}"
-    sz = oracle.dense_state_z(g)
-    sx = oracle.dense_to_x(sz).reduced()
     xd = xchains.factorize(g)
     # (a) symbolic X-chain group vs brute-force scan
     if set(gf2.span(xd.gamma.rows)) != oracle.brute_xchains(g):
         mismatches.append(f"xchain-group {tag}")
-    # (b) X-basis expansion vs dense transform, global sign included
+    # (b) X-basis expansion vs the packed X amplitudes at its terms, global
+    # sign included; Parseval (squares summing to 4^n) rules out any other term
     e = xchains.x_representation(g, xd)
-    dense_terms = {m: a for m, a in enumerate(sx.amps) if a}
-    if sx.scale != e.half_log_norm or dense_terms != e.terms:
+    amps = oracle.x_amplitudes(g, e.terms)
+    sx = oracle.DenseState(g.n, list(amps.values()), 2 * g.n).reduced()
+    parseval = sum(a * a for a in amps.values()) == 1 << 2 * g.n
+    dense_terms = {m: a for m, a in zip(amps, sx.amps) if a} if parseval else {}
+    if not parseval or sx.scale != e.half_log_norm or dense_terms != e.terms:
         mismatches.append(f"x-representation {tag}")
     # (c) overlap vs dense inner product, random partner
     h = random_graph(rng, g.n)
-    if bias.overlap(g, h) != oracle.state_overlap(sz, oracle.dense_state_z(h)):
+    if bias.overlap(g, h) != oracle.dense_overlap(g, h):
         mismatches.append(f"overlap {tag}")
     # (d) Schmidt rank vs dense reshaped rank, random bipartitions
     if g.n >= 2:
@@ -42,9 +44,10 @@ def _verify_one(g: Graph, rng: random.Random, mismatches: list[str], notes: list
             pg = schmidt.partition_groups(g, part, xd)
             if pg.k_simb.dim:
                 notes.append(f"nonempty detached subgroup {tag} A={a:b}")
-            if (1 << pg.k_harpoon.dim) != oracle.state_schmidt_rank(sz, part):
+            if (1 << pg.k_harpoon.dim) != oracle.dense_schmidt_rank(g, part):
                 mismatches.append(f"schmidt-rank {tag} A={a:b}")
-    # (e) X-measurement support vs the X-chain parity rule
+    # (e) X-measurement support vs the X-chain parity rule; with no verified
+    # amplitudes there is no scale to compare against, so it fails too
     k, x_gamma = len(xd.kappa), xd.x_gamma
     if (
         len(dense_terms) != 1 << k

@@ -9,19 +9,22 @@ probabilities) or builds test input (bit strings, edge-list text).
 It also holds the stabilizer algebra the library does not need: Pauli
 stabilizers in X-then-Z normal form, their generators and products, the
 cut-parity bilinear form, and the dense Born distribution of full
-X-measurements.
+X-measurements.  Last, the list oracle that the packed one replaced:
+overlaps as sums of amplitude products and Schmidt ranks by Bareiss
+elimination of the reshaped amplitude matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
 from graphstates import gf2
-from graphstates.bias import bias_degree
+from graphstates.bias import DyadicReal, bias_degree
 from graphstates.gf2 import MAX_WIDTH, Basis
-from graphstates.graphs import Graph
+from graphstates.graphs import Bipartition, Graph
 from graphstates.schmidt import PartitionGroups
 from graphstates.oracle import DenseState, _check_size, dense_state_z, dense_to_x
 from graphstates.stab import correlation_index, stabilizer_parity
@@ -361,3 +364,81 @@ def distinguishing_outcomes(g: Graph, h: Graph) -> tuple[set[int], set[int]]:
     sg = {mask for mask, _ in measurement_support(g)}
     sh = {mask for mask, _ in measurement_support(h)}
     return sg - sh, sh - sg
+
+
+def state_overlap(s: DenseState, t: DenseState) -> DyadicReal:
+    """Exact inner product of two real dense states of power-of-two norm."""
+    if s.n != t.n:
+        raise ValueError("states have different qubit counts")
+    total = sum(map(operator.mul, s.amps, t.amps))
+    if total == 0:
+        return DyadicReal.zero()
+    sign = 1 if total > 0 else -1
+    mag = abs(total)
+    if mag & (mag - 1):
+        raise AssertionError(f"overlap numerator {total} is not a power of two")
+    # value = sign * 2^j * 2^(-(s.scale + t.scale)/2)
+    j = mag.bit_length() - 1
+    return DyadicReal(sign, s.scale + t.scale - 2 * j)
+
+
+def _bareiss_rank(mat: list[list[int]]) -> int:
+    """Exact integer matrix rank by Bareiss elimination, whose divisions are exact."""
+    if not mat:
+        return 0
+    mat = [row[:] for row in mat]
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                mat[i][j] = (mat[i][j] * mat[r][c] - mat[i][c] * mat[r][j]) // prev
+            mat[i][c] = 0
+        prev = mat[r][c]
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
+
+
+def _index_table(positions: list[int]) -> list[int]:
+    """Full index of each local index: entry k carries bit i of k at positions[i]."""
+    table = [0]
+    for p in positions:
+        table += [t | 1 << p for t in table]
+    return table
+
+
+def _distinct_up_to_sign(rows) -> list[tuple[int, ...]]:
+    """The rows, with each row equal to an earlier one up to sign dropped.
+
+    A dropped row is a multiple of a kept one, so the rank is unchanged.
+    """
+    kept = {}
+    for row in rows:
+        lead = next(filter(None, row), 0)
+        kept[tuple(row) if lead >= 0 else tuple(map(operator.neg, row))] = None
+    return list(kept)
+
+
+def state_schmidt_rank(s: DenseState, part: Bipartition) -> int:
+    """Exact rank of the amplitude matrix reshaped along the bipartition."""
+    if part.n != s.n:
+        raise ValueError("bipartition size does not match the state")
+    amps = s.amps
+    cols = _index_table(part.b_positions())
+    rows = _distinct_up_to_sign(
+        [amps[r | c] for c in cols] for r in _index_table(part.a_positions())
+    )
+    return _bareiss_rank([list(col) for col in _distinct_up_to_sign(zip(*rows))])

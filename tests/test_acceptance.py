@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines and timings.
 """
 
+import hashlib
 import random
 import time
 
@@ -189,6 +190,9 @@ def test_criterion_6_oracle_equivalence_sweep():
     assert elapsed < 300, f"sweep took {elapsed:.1f}s"
     assert count == 1 + 2 + 8 + 64 + 1024 + 5 * 100
     assert mismatches == []
+    assert len(notes) == 773
+    digest = hashlib.sha256("\n".join(notes).encode()).hexdigest()
+    assert digest == "0e513a58acb4ebc0a60da3e1fc51d3b4bb3d491e224835efbddf0e2ea69821be"
     report(
         6,
         elapsed,

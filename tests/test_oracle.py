@@ -8,6 +8,7 @@ import pytest
 from helpers import all_graphs, random_bipartition_mask, random_graph
 from reference import (
     PauliStabilizer,
+    _bareiss_rank,
     apply_pauli,
     check_stabilizer,
     generator,
@@ -15,6 +16,7 @@ from reference import (
     multiply,
     norm_squared_is_unit,
     scatter,
+    state_overlap,
     string_to_mask,
     x_distribution,
 )
@@ -23,13 +25,11 @@ from graphstates.gf2 import mask_of
 from graphstates.graphs import Bipartition, named
 from graphstates.oracle import (
     DenseState,
-    _bareiss_rank,
     brute_xchains,
     dense_overlap,
     dense_schmidt_rank,
     dense_state_z,
     dense_to_x,
-    state_overlap,
 )
 from graphstates.stab import correlation_index, stabilizer_parity
 

@@ -45,42 +45,43 @@ def test_passed_factorization_gives_the_same_results():
     assert supports > 40
 
 
-def support_mismatches_with_corrupted_transform(monkeypatch, corrupt):
-    """run_verification(4, 0, 0) with each X-basis vector passed through corrupt.
+def support_mismatches_with_corrupted_amplitudes(monkeypatch, corrupt):
+    """run_verification(4, 0, 0) with each graph's X amplitudes passed through corrupt.
 
-    Returns the number of graphs whose vector corrupt changed and the
-    number of measurement-support mismatches reported.
+    corrupt gets the packed oracle's amplitudes at the claimed terms, as a
+    list, and the number 2^n of all outcomes.  Returns the number of graphs
+    whose amplitudes corrupt changed and the number of measurement-support
+    mismatches reported.
     """
-    real = oracle.dense_to_x
+    real = oracle.x_amplitudes
     changed = []
 
-    def corrupted(s):
-        t = real(s)
-        amps = corrupt(list(t.amps))
-        changed.append(amps != t.amps)
-        return t._replace(amps=amps)
+    def corrupted(g, masks):
+        amps = real(g, masks)
+        values = corrupt(list(amps.values()), 1 << g.n)
+        changed.append(values != list(amps.values()))
+        return dict(zip(amps, values))
 
-    monkeypatch.setattr(oracle, "dense_to_x", corrupted)
+    monkeypatch.setattr(oracle, "x_amplitudes", corrupted)
     count, mismatches, _ = run_verification(4, 0, 0)
     assert count == len(changed) == 75
     return sum(changed), sum(m.startswith("measurement-support ") for m in mismatches)
 
 
-def move_one_amplitude_onto_a_zero(amps):
-    if 0 in amps:
-        i = next(i for i, a in enumerate(amps) if a)
-        amps[amps.index(0)], amps[i] = amps[i], 0
+def move_one_amplitude_onto_a_zero(amps, outcomes):
+    # the claimed terms are the nonzero amplitudes, so any other outcome is a zero
+    if len(amps) < outcomes:
+        amps[0] = 0
     return amps
 
 
-def double_one_amplitude(amps):
-    i = next(i for i, a in enumerate(amps) if a)
-    amps[i] *= 2
+def double_one_amplitude(amps, outcomes):
+    amps[0] *= 2
     return amps
 
 
 def test_measurement_support_check_reports_a_moved_amplitude(monkeypatch):
-    changed, reported = support_mismatches_with_corrupted_transform(
+    changed, reported = support_mismatches_with_corrupted_amplitudes(
         monkeypatch, move_one_amplitude_onto_a_zero
     )
     assert 0 < changed < 75
@@ -89,7 +90,7 @@ def test_measurement_support_check_reports_a_moved_amplitude(monkeypatch):
 
 def test_measurement_support_check_reports_a_doubled_amplitude(monkeypatch):
     # the support is unchanged; only the amplitude comparison can see it
-    changed, reported = support_mismatches_with_corrupted_transform(
+    changed, reported = support_mismatches_with_corrupted_amplitudes(
         monkeypatch, double_one_amplitude
     )
     assert reported == changed == 75
