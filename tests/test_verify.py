@@ -48,9 +48,9 @@ def test_passed_factorization_gives_the_same_results():
 def support_mismatches_with_corrupted_amplitudes(monkeypatch, corrupt):
     """run_verification(4, 0, 0) with each graph's X amplitudes passed through corrupt.
 
-    corrupt gets the packed oracle's amplitudes at the claimed terms, as a
-    list, and the number 2^n of all outcomes.  Returns the number of graphs
-    whose amplitudes corrupt changed and the number of measurement-support
+    corrupt gets the packed oracle's map {claimed term: amplitude} and the
+    number 2^n of all outcomes, and returns a map.  Returns the number of
+    graphs whose map corrupt changed and the number of measurement-support
     mismatches reported.
     """
     real = oracle.x_amplitudes
@@ -58,9 +58,9 @@ def support_mismatches_with_corrupted_amplitudes(monkeypatch, corrupt):
 
     def corrupted(g, masks):
         amps = real(g, masks)
-        values = corrupt(list(amps.values()), 1 << g.n)
-        changed.append(values != list(amps.values()))
-        return dict(zip(amps, values))
+        bad = corrupt(dict(amps), 1 << g.n)
+        changed.append(bad != amps)
+        return bad
 
     monkeypatch.setattr(oracle, "x_amplitudes", corrupted)
     count, mismatches, _ = run_verification(4, 0, 0)
@@ -69,18 +69,33 @@ def support_mismatches_with_corrupted_amplitudes(monkeypatch, corrupt):
 
 
 def move_one_amplitude_onto_a_zero(amps, outcomes):
-    # the claimed terms are the nonzero amplitudes, so any other outcome is a zero
-    if len(amps) < outcomes:
-        amps[0] = 0
-    return amps
+    # the claimed terms are the nonzero amplitudes, so any other outcome is a
+    # zero; the values, hence Parseval and the scale, are unchanged
+    free = [m for m in range(outcomes) if m not in amps]
+    if not free:
+        return amps
+    first = next(iter(amps))
+    return {free[0] if m == first else m: a for m, a in amps.items()}
 
 
 def double_one_amplitude(amps, outcomes):
-    amps[0] *= 2
+    first = next(iter(amps))
+    amps[first] *= 2
+    return amps
+
+
+def reshape_five_amplitudes(amps, outcomes):
+    # five of sixteen equal magnitudes c become 2c, c/2, c/2, c/2, c/2: the
+    # squares still sum to 5c^2, so Parseval, the count and the support hold
+    if len(amps) < 16:
+        return amps
+    for i, m in enumerate(list(amps)[:5]):
+        amps[m] = amps[m] * 2 if i == 0 else amps[m] // 2
     return amps
 
 
 def test_measurement_support_check_reports_a_moved_amplitude(monkeypatch):
+    # only the outcome-parity rule of the check can see a moved term
     changed, reported = support_mismatches_with_corrupted_amplitudes(
         monkeypatch, move_one_amplitude_onto_a_zero
     )
@@ -89,8 +104,18 @@ def test_measurement_support_check_reports_a_moved_amplitude(monkeypatch):
 
 
 def test_measurement_support_check_reports_a_doubled_amplitude(monkeypatch):
-    # the support is unchanged; only the amplitude comparison can see it
+    # the support is unchanged, but the squares no longer sum to 4^n, so the
+    # expansion check verifies no amplitude and the support check fails with it
     changed, reported = support_mismatches_with_corrupted_amplitudes(
         monkeypatch, double_one_amplitude
     )
     assert reported == changed == 75
+
+
+def test_measurement_support_check_reports_unequal_amplitudes(monkeypatch):
+    # only the equal-probability rule of the check can see a reshaped vector
+    changed, reported = support_mismatches_with_corrupted_amplitudes(
+        monkeypatch, reshape_five_amplitudes
+    )
+    assert 0 < changed < 75
+    assert reported == changed
